@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ToleranceError
-from .genfunc import _mps_table
+from .genfunc import _mps_terms
 from .words import Pattern, PatternSignature, signature
 
 ABELIAN_TERM_CAP = 10_000
@@ -89,29 +89,25 @@ def abelian_constant(m: int, k: int, eps: float = DEFAULT_ABELIAN_EPS) -> Abelia
     total = 0.0
     step = m ** k
     denom = 1
-    limit = 64
-    ell = 0
     floor = _abelian_tail_bound(m, ABELIAN_TERM_CAP)
-    while ell < ABELIAN_TERM_CAP:
-        table = _mps_table(min(limit, ABELIAN_TERM_CAP), m, k)
-        while ell < len(table) - 1:
-            ell += 1
-            denom *= step
-            term = table[ell] / denom
-            total += term
-            tail = _abelian_tail_bound(m, ell)
-            if tail <= eps * total and term <= eps * total:
-                return AbelianConstant(total, ell, tail, eps)
-            # the bound can never drop below its value at the cap, and the sum
-            # can never exceed total + tail; bail out early once eps is hopeless
-            if floor > eps * (total + tail):
-                raise ToleranceError(
-                    f"abelian factor for m={m}, k={k} cannot reach eps={eps} "
-                    f"within {ABELIAN_TERM_CAP} terms", partial=total, terms=ell)
-        limit *= 2
+    weights = _mps_terms(m, k)
+    next(weights)  # M(0, m, k) = 1 is not a term of the sum
+    for ell, weight in zip(range(1, ABELIAN_TERM_CAP + 1), weights):
+        denom *= step
+        term = weight / denom
+        total += term
+        tail = _abelian_tail_bound(m, ell)
+        if tail <= eps * total and term <= eps * total:
+            return AbelianConstant(total, ell, tail, eps)
+        # the bound can never drop below its value at the cap, and the sum
+        # can never exceed total + tail; bail out early once eps is hopeless
+        if floor > eps * (total + tail):
+            raise ToleranceError(
+                f"abelian factor for m={m}, k={k} cannot reach eps={eps} "
+                f"within {ABELIAN_TERM_CAP} terms", partial=total, terms=ell)
     raise ToleranceError(
         f"abelian factor for m={m}, k={k} did not reach eps={eps} "
-        f"within {ABELIAN_TERM_CAP} terms", partial=total, terms=ell)
+        f"within {ABELIAN_TERM_CAP} terms", partial=total, terms=ABELIAN_TERM_CAP)
 
 
 def _density_factor(m: int, k: int, d: Fraction) -> float:

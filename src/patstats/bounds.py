@@ -12,6 +12,7 @@ envelope, with graceful overflow marking past a configurable digit cap.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,37 @@ from .words import Pattern, PatternSignature, signature
 
 DEFAULT_DIGIT_CAP = 1_000_000
 DEFAULT_SERIES_BUDGET = 2_000
+
+_LOG2_10 = math.log2(10)
+
+
+def _reaches_cap(value: int, cap: int) -> bool:
+    """value >= 10**cap for a nonnegative value and cap.
+
+    Decided from value's bit length against cap * log2(10); 10**cap, which has
+    over three million bits at the default cap, is built only when the bit
+    length lies within two bits of that edge, so the answer stays exact.
+    """
+    bits = value.bit_length()
+    edge = cap * _LOG2_10
+    if bits < edge - 2:
+        return False  # value < 2**bits < 10**cap
+    if bits > edge + 2:
+        return True  # value >= 2**(bits - 1) > 10**cap
+    return value >= 10 ** cap
+
+
+def _decimal(value: int) -> str:
+    """Every digit of value; the digit cap, not the interpreter's int-to-str
+    limit, bounds how long a bound may be."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # interpreters without the limit
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @dataclass(frozen=True)
@@ -49,18 +81,18 @@ class BoundValue:
         if self.is_exact and other.is_exact:
             return self.exact < other.exact
         if self.is_exact and not other.is_exact:
-            if self.exact < 10 ** other.overflow_cap:
+            if not _reaches_cap(self.exact, other.overflow_cap):
                 return True
             raise ValueError("comparison undecidable across the overflow cap")
         if not self.is_exact and other.is_exact:
-            if other.exact < 10 ** self.overflow_cap:
+            if not _reaches_cap(other.exact, self.overflow_cap):
                 return False
             raise ValueError("comparison undecidable across the overflow cap")
         raise ValueError("two overflowed values cannot be ordered")
 
     def __str__(self):
         if self.is_exact:
-            return str(self.exact)
+            return _decimal(self.exact)
         return f"overflow(>{self.overflow_cap} digits)"
 
 
@@ -68,13 +100,12 @@ def _guarded_power(base: int, exponent: int, cap: int) -> int | None:
     """base**exponent if its digit count can stay within cap, else None."""
     if base == 1:
         return 1
-    est = exponent * math.log10(base)
-    if est > cap + 16:
+    # base**exponent has about exponent * log2(base) bits; dividing instead of
+    # multiplying keeps a huge exponent out of float range
+    if exponent > (cap * _LOG2_10 + 3) / math.log2(base):
         return None
     value = base ** exponent
-    if value >= 10 ** cap:
-        return None
-    return value
+    return None if _reaches_cap(value, cap) else value
 
 
 def double_uparrow(x: int, y: int, cap: int = DEFAULT_DIGIT_CAP) -> BoundValue:
@@ -115,7 +146,7 @@ def zimin_upper(m: int, i: int, mode: str = ZiminUpperMode.RECURSIVE,
         if power is None:
             return BoundValue.overflow(cap)
         bound = power * (bound + 1) + bound
-        if bound >= 10 ** cap:
+        if _reaches_cap(bound, cap):
             return BoundValue.overflow(cap)
     return BoundValue.of(bound)
 

@@ -62,7 +62,7 @@ def _format_value(value):
         return str(value)
     if isinstance(value, bounds.BoundValue):
         if value.is_exact:
-            return str(value.exact)
+            return str(value)
         return {"overflow_beyond_digits": value.overflow_cap}
     return value
 

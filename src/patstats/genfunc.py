@@ -23,34 +23,42 @@ with M the multinomial power sum.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
+from operator import mul
 
 from .oracle import CountKind
 from .series import BivariateSeries, Series, UPolynomial
 from .words import Pattern, signature
 
 
-@lru_cache(maxsize=64)
-def _mps_table(limit: int, m: int, k: int) -> tuple[int, ...]:
-    """M(l, m, k) for l = 0..limit, by the factorial-weight convolution.
+def _mps_terms(m: int, k: int) -> Iterator[int]:
+    """M(l, m, k) for l = 0, 1, 2, ..., one l per step, by the factorial-weight convolution.
 
     The m-fold convolution of 1/(i!)^k scaled by (l!)^k collapses to the
-    integer recurrence M(l, m, k) = sum_i C(l, i)^k M(l - i, m - 1, k),
-    which avoids rational arithmetic entirely.
+    integer recurrence M(l, j, k) = sum_i C(l, i)^k M(l - i, j - 1, k),
+    which avoids rational arithmetic entirely.  Each step extends the rows of
+    every alphabet size j <= m by one l and computes the powers C(l, i)^k once.
     """
-    row = [1] * (limit + 1)
-    for _ in range(m - 1):
-        new = [0] * (limit + 1)
-        for total in range(limit + 1):
-            c = 1  # C(total, i), updated incrementally
-            acc = 0
-            for i in range(total + 1):
-                acc += c ** k * row[total - i]
-                c = c * (total - i) // (i + 1)
-            new[total] = acc
-        row = new
-    return tuple(row)
+    rows = [[] for _ in range(m)]  # rows[j][l] = M(l, j + 1, k)
+    for total in count():
+        powers = []
+        c = 1  # C(total, i), updated incrementally
+        for i in range(total + 1):
+            powers.append(c ** k)
+            c = c * (total - i) // (i + 1)
+        rows[0].append(1)
+        for prev, row in zip(rows, rows[1:]):
+            row.append(sum(map(mul, powers, reversed(prev))))
+        yield rows[-1][total]
+
+
+@lru_cache(maxsize=64)
+def _mps_table(limit: int, m: int, k: int) -> tuple[int, ...]:
+    """M(l, m, k) for l = 0..limit: a prefix of _mps_terms."""
+    return tuple(islice(_mps_terms(m, k), limit + 1))
 
 
 def multinomial_power_sum(length: int, m: int, k: int) -> int:

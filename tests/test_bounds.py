@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,13 @@ def test_uparrow_overflow():
     assert double_uparrow(2, 4, cap=1000).exact == 65536
 
 
+def test_uparrow_overflow_past_float_range():
+    # the next exponent, 2^65536, is beyond float range
+    v = double_uparrow(2, 6)
+    assert not v.is_exact and v.overflow_cap == 1_000_000
+    assert double_uparrow(2, 5).exact == 2 ** 65536
+
+
 def test_uparrow_recurrence():
     for x in (2, 3, 5):
         for y in (0, 1, 2):
@@ -63,6 +71,12 @@ def test_zimin_upper_tetration_base():
     assert zimin_upper(2, 2, ZiminUpperMode.TETRATION).exact == 16
 
 
+def test_zimin_upper_tetration_overflow_past_float_range():
+    # 2^^7: the tower passes 2^65536 before it outgrows the cap
+    v = zimin_upper(2, 4, ZiminUpperMode.TETRATION)
+    assert not v.is_exact and v.overflow_cap == 1_000_000
+
+
 def test_zimin_upper_rejects_small_index():
     with pytest.raises(ValueError):
         zimin_upper(2, 1)
@@ -91,6 +105,21 @@ def test_boundvalue_ordering_rules():
     huge = BoundValue.of(10 ** 10)
     with pytest.raises(ValueError):
         huge.less_than(spill)
+    # at the edge of the cap: 10^5 - 1 has 5 digits, 10^5 has 6
+    assert BoundValue.of(10 ** 5 - 1).less_than(spill)
+    assert not spill.less_than(BoundValue.of(10 ** 5 - 1))
+    with pytest.raises(ValueError):
+        BoundValue.of(10 ** 5).less_than(spill)
+    with pytest.raises(ValueError):
+        spill.less_than(BoundValue.of(10 ** 5))
+
+
+def test_boundvalue_prints_past_the_int_to_str_limit():
+    limit = sys.get_int_max_str_digits()
+    value = double_uparrow(2, 5)
+    text = str(value)
+    assert len(text) == 19_729 and text.startswith("2003529930406846464979")
+    assert sys.get_int_max_str_digits() == limit
 
 
 # --- structural zimin signatures -------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -87,6 +88,31 @@ def test_uparrow_overflow_marker(capsys):
     record = run_json(capsys, "bounds", "uparrow", "-x", "2", "-y", "5",
                       "--cap", "1000")
     assert record["result"] == {"overflow_beyond_digits": 1000}
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "uparrow", "-x", "2", "-y", "6"),
+    ("bounds", "zimin-upper", "-m", "2", "-i", "4", "--mode", "tetration"),
+], ids=["uparrow-2-6", "zimin-upper-2-4-tetration"])
+def test_overflow_past_float_range_is_a_marker(capsys, argv):
+    record = run_json(capsys, *argv)
+    assert record["result"] == {"overflow_beyond_digits": 1_000_000}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("bounds", "uparrow", "-x", "2", "-y", "5"), 2 ** 65536),
+    (("bounds", "zimin-upper", "-m", "3", "-i", "4"), 3 ** 17503 * 17504 + 17503),
+], ids=["uparrow-2-5", "zimin-upper-3-4"])
+def test_exact_bounds_print_every_digit(capsys, argv, expected):
+    # both have more digits than the interpreter's default int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    record = run_json(capsys, *argv)
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert record["result"] == str(expected)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_hole_char_override(capsys):
