@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Before/after timings of the bound calculators and the abelian constant.
 
-Each row times one call with time.perf_counter, best of --repeat runs, with
+Each row times one call with time.perf_counter, best of REPEAT runs, with
 every functools cache of the library emptied before each run so a run costs
 what a fresh script pays.  A row records its inputs, a hash of the result (so
 the two sides can be seen to give the same answer) and a work counter.
 
     python scripts/bench.py                        # rows for the library on sys.path
-    python scripts/bench.py --before OLD --after NEW --out BENCH.json [--tier1]
+    python scripts/bench.py --before OLD --after NEW --out BENCH.json
 
 OLD and NEW are checkouts of this repository; each side runs in its own
-interpreter with that checkout's src/ on PYTHONPATH.  --tier1 adds the wall
-time of the checkout's tier-1 test command.
+interpreter with that checkout's src/ on PYTHONPATH, and the comparison adds
+the wall time of each checkout's tier-1 test command.
 """
 
 import argparse
@@ -31,6 +31,9 @@ UPARROW = [(3, 3), (3, 4), (2, 5)]
 ZIMIN_UPPER = [(2, 4), (4, 4)]
 ABELIAN = [(12, 2, 1e-9), (11, 2, 1e-9), (11, 2, 1e-8), (10, 2, 1e-7), (10, 3, 1e-6),
            (11, 3, 1e-7), (12, 3, 1e-8), (12, 4, 1e-6)]
+# patterns whose repeated variables share one multiplicity: (pattern, m, n, eps)
+ABELIAN_MEANS = [("aabbcc", 11, 1000, 1e-9)]
+REPEAT = 3
 README_COMMAND = ["bounds", "uparrow", "-x", "3", "-y", "3"]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
@@ -60,9 +63,9 @@ def _clear_caches() -> None:
     gc.collect()
 
 
-def _best(call, repeat: int):
+def _best(call):
     best = None
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         _clear_caches()
         start = time.perf_counter()
         result = call()
@@ -71,21 +74,29 @@ def _best(call, repeat: int):
     return result, best
 
 
-def measure(repeat: int) -> list[dict]:
+def measure() -> list[dict]:
     from patstats import asymptotics, bounds, cli
+    from patstats.words import Pattern
 
     rows = []
     for x, y in UPARROW:
         rows.append(_bound_row(f"double_uparrow({x}, {y})",
-                               *_best(lambda: bounds.double_uparrow(x, y), repeat)))
+                               *_best(lambda: bounds.double_uparrow(x, y))))
     for m, i in ZIMIN_UPPER:
         rows.append(_bound_row(f"zimin_upper({m}, {i})",
-                               *_best(lambda: bounds.zimin_upper(m, i), repeat)))
+                               *_best(lambda: bounds.zimin_upper(m, i))))
     for m, k, eps in ABELIAN:
-        const, secs = _best(lambda: asymptotics.abelian_constant(m, k, eps), repeat)
+        const, secs = _best(lambda: asymptotics.abelian_constant(m, k, eps))
         digest = _digest(f"{const.value.hex()} {const.terms} {const.tail_bound.hex()}")
         rows.append({"name": f"abelian_constant({m}, {k}, {eps!r})", "layer": "asymptotics",
                      "result_sha256": digest, "work": {"terms": const.terms},
+                     "seconds": secs})
+    for text, m, n, eps in ABELIAN_MEANS:
+        mean, secs = _best(lambda: asymptotics.mean_asymptotic(
+            asymptotics.MeanKind.ABELIAN, Pattern.from_text(text), m, n, eps=eps))
+        rows.append({"name": f"mean_asymptotic(ABELIAN, {text!r}, {m}, {n}, eps={eps!r})",
+                     "layer": "asymptotics", "result_sha256": _digest(mean.value.hex()),
+                     "work": {"terms": [c.terms for c in mean.abelian_factors]},
                      "seconds": secs})
 
     def readme_command():
@@ -94,30 +105,29 @@ def measure(repeat: int) -> list[dict]:
             code = cli.main(README_COMMAND)
         return code, json.loads(out.getvalue())["result"]
 
-    (code, result), secs = _best(readme_command, repeat)
+    (code, result), secs = _best(readme_command)
     rows.append({"name": "patstats " + " ".join(README_COMMAND), "layer": "end-to-end",
                  "result_sha256": _digest(f"{code} {result}"), "work": {"exit": code},
                  "seconds": secs})
     return rows
 
 
-def _side(tree: str, repeat: int, tier1: bool) -> list[dict]:
+def _side(tree: str) -> list[dict]:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--repeat", str(repeat)],
+    out = subprocess.run([sys.executable, os.path.abspath(__file__)],
                          env=env, cwd=tree, check=True, capture_output=True, text=True)
     rows = json.loads(out.stdout)
-    if tier1:
-        start = time.perf_counter()
-        run = subprocess.run(TIER1, env=env, cwd=tree, capture_output=True, text=True)
-        secs = time.perf_counter() - start
-        summary = run.stdout.strip().splitlines()[-1] if run.stdout.strip() else ""
-        rows.append({"name": "tier-1 suite", "layer": "end-to-end",
-                     "result_sha256": None, "work": {"summary": summary}, "seconds": secs})
+    start = time.perf_counter()
+    run = subprocess.run(TIER1, env=env, cwd=tree, capture_output=True, text=True)
+    secs = time.perf_counter() - start
+    summary = run.stdout.strip().splitlines()[-1] if run.stdout.strip() else ""
+    rows.append({"name": "tier-1 suite", "layer": "end-to-end",
+                 "result_sha256": None, "work": {"summary": summary}, "seconds": secs})
     return rows
 
 
-def compare(before: str, after: str, repeat: int, tier1: bool) -> dict:
-    old, new = _side(before, repeat, tier1), _side(after, repeat, tier1)
+def compare(before: str, after: str) -> dict:
+    old, new = _side(before), _side(after)
     rows = []
     for a, b in zip(old, new):
         assert a["name"] == b["name"]
@@ -127,7 +137,7 @@ def compare(before: str, after: str, repeat: int, tier1: bool) -> dict:
                      "before": {k: a[k] for k in ("result_sha256", "work", "seconds")},
                      "after": {k: b[k] for k in ("result_sha256", "work", "seconds")},
                      "speedup": a["seconds"] / b["seconds"]})
-    return {"method": f"time.perf_counter, best of {repeat}, caches emptied before each run;"
+    return {"method": f"time.perf_counter, best of {REPEAT}, caches emptied before each run;"
                       " the tier-1 suite runs once per side",
             "machine": {"python": platform.python_version(), "platform": platform.platform(),
                         "nproc": os.cpu_count()},
@@ -137,16 +147,13 @@ def compare(before: str, after: str, repeat: int, tier1: bool) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--before", help="checkout measured as the before side")
     ap.add_argument("--after", help="checkout measured as the after side")
     ap.add_argument("--out", help="write the comparison here instead of stdout")
-    ap.add_argument("--tier1", action="store_true", help="also time the tier-1 suite")
     args = ap.parse_args()
     if bool(args.before) != bool(args.after):
         ap.error("--before and --after go together")
-    report = compare(args.before, args.after, args.repeat, args.tier1) if args.before \
-        else measure(args.repeat)
+    report = compare(args.before, args.after) if args.before else measure()
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as fh:

@@ -164,9 +164,12 @@ def mean_asymptotic(kind: MeanKind, p: Pattern, m: int, n: int,
 
     sig = signature(p)
     value = n ** (sig.s + 1) / math.factorial(sig.s + 1)
+    # one factor per distinct multiplicity, in first-occurrence order so the
+    # same variable's failure is raised first; the product keeps pattern order
+    factors = {k: _kind_factor(kind, m, k, d, eps) for k in dict.fromkeys(sig.repeated)}
     consts = []
     for k in sig.repeated:
-        factor, const = _kind_factor(kind, m, k, d, eps)
+        factor, const = factors[k]
         value *= factor
         if const is not None:
             consts.append(const)

@@ -47,8 +47,6 @@ def _reaches_cap(value: int, cap: int) -> bool:
 def _decimal(value: int) -> str:
     """Every digit of value; the digit cap, not the interpreter's int-to-str
     limit, bounds how long a bound may be."""
-    if not hasattr(sys, "get_int_max_str_digits"):  # interpreters without the limit
-        return str(value)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -194,9 +192,10 @@ def _threshold_from_signature(kind: MeanKind, sig: PatternSignature, m: int,
         raise ValueError("abelian thresholds need an alphabet of at least 4 letters")
     if kind is MeanKind.DENSITY and (d is None or not 0 < d < 1):
         raise ValueError("hole density d must lie strictly between 0 and 1")
+    ln_factors = {k: _ln_factor(kind, m, k, d, eps) for k in dict.fromkeys(sig.repeated)}
     ln_total = math.lgamma(sig.s + 2)  # ln((s+1)!)
     for k in sig.repeated:
-        ln_total += _ln_factor(kind, m, k, d, eps)
+        ln_total += ln_factors[k]
     try:
         return math.exp(ln_total / (sig.s + 1))
     except OverflowError:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count, islice, repeat
 from operator import mul
 
 from .oracle import CountKind
@@ -40,9 +40,13 @@ def _mps_terms(m: int, k: int) -> Iterator[int]:
     The m-fold convolution of 1/(i!)^k scaled by (l!)^k collapses to the
     integer recurrence M(l, j, k) = sum_i C(l, i)^k M(l - i, j - 1, k),
     which avoids rational arithmetic entirely.  Each step extends the rows of
-    every alphabet size j <= m by one l and computes the powers C(l, i)^k once.
+    every alphabet size j < m by one l, computes the powers C(l, i)^k once,
+    and yields the size-m value without storing it: no later step reads it.
     """
-    rows = [[] for _ in range(m)]  # rows[j][l] = M(l, j + 1, k)
+    if m == 1:
+        yield from repeat(1)
+        return
+    rows = [[] for _ in range(m - 1)]  # rows[j][l] = M(l, j + 1, k)
     for total in count():
         powers = []
         c = 1  # C(total, i), updated incrementally
@@ -52,7 +56,7 @@ def _mps_terms(m: int, k: int) -> Iterator[int]:
         rows[0].append(1)
         for prev, row in zip(rows, rows[1:]):
             row.append(sum(map(mul, powers, reversed(prev))))
-        yield rows[-1][total]
+        yield sum(map(mul, powers, reversed(rows[-1])))
 
 
 @lru_cache(maxsize=64)

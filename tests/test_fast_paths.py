@@ -5,7 +5,8 @@ test decides value >= 10**cap from bit lengths, and the multinomial power sums
 M(l, m, k) are extended one l at a time instead of rebuilt as doubling tables.
 The replaced formulations are kept here as references, and the abelian
 constants are pinned to the values, term counts and tail bounds the rebuilt
-tables produced, as float hex strings.
+tables produced, as float hex strings.  Patterns with several variables of one
+multiplicity compute that multiplicity's factor once.
 """
 
 import math
@@ -13,10 +14,12 @@ from itertools import islice
 
 import pytest
 
-from patstats.asymptotics import abelian_constant
-from patstats.bounds import DEFAULT_DIGIT_CAP, _reaches_cap
+from patstats import asymptotics, bounds
+from patstats.asymptotics import MeanKind, abelian_constant, mean_asymptotic
+from patstats.bounds import DEFAULT_DIGIT_CAP, _reaches_cap, avoidance_threshold
 from patstats.errors import ToleranceError
 from patstats.genfunc import _mps_table, _mps_terms, multinomial_power_sum_enum
+from patstats.words import Pattern, signature
 
 
 # --- the digit-cap decision -----------------------------------------------------
@@ -118,3 +121,31 @@ def test_abelian_tolerance_failure_pinned(key):
     with pytest.raises(ToleranceError) as err:
         abelian_constant(*key)
     assert (err.value.partial.hex(), err.value.terms) == ABELIAN_FAILURE_PINS[key]
+
+
+@pytest.mark.parametrize("text", ["aabbcc", "abcabcab"])
+def test_equal_multiplicities_share_one_abelian_factor(monkeypatch, text):
+    p, m, n = Pattern.from_text(text), 12, 100
+    sig = signature(p)
+    # the per-variable loops of the replaced code, one constant per variable
+    consts = [abelian_constant(m, k).value for k in sig.repeated]
+    mean = n ** (sig.s + 1) / math.factorial(sig.s + 1)
+    ln_total = math.lgamma(sig.s + 2)
+    for c in consts:
+        mean *= c
+        ln_total += -math.log(c)
+    threshold = math.exp(ln_total / (sig.s + 1))
+
+    calls = []
+
+    def counted(m, k, eps):
+        calls.append(k)
+        return abelian_constant(m, k, eps)
+
+    monkeypatch.setattr(asymptotics, "abelian_constant", counted)
+    monkeypatch.setattr(bounds, "abelian_constant", counted)
+    got = mean_asymptotic(MeanKind.ABELIAN, p, m, n)
+    assert got.value.hex() == mean.hex()
+    assert [c.value for c in got.abelian_factors] == consts
+    assert avoidance_threshold(MeanKind.ABELIAN, p, m).hex() == threshold.hex()
+    assert calls == 2 * list(dict.fromkeys(sig.repeated))
