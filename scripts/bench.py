@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Before/after timings of the bound calculators and the abelian constant.
+"""Before/after timings of the series builders, the bound calculators and the
+abelian constant.
 
 Each row times one call with time.perf_counter, best of REPEAT runs, with
 every functools cache of the library emptied before each run so a run costs
@@ -34,6 +35,9 @@ ABELIAN = [(12, 2, 1e-9), (11, 2, 1e-9), (11, 2, 1e-8), (10, 2, 1e-7), (10, 3, 1
 # patterns whose repeated variables share one multiplicity: (pattern, m, n, eps)
 ABELIAN_MEANS = [("aabbcc", 11, 1000, 1e-9)]
 REPEAT = 3
+# (kind or None for the bivariate series, pattern, m, order)
+SERIES = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 300), (None, "aba", 2, 60)]
+THRESHOLD = ("FULL", "abab", 3, 2000)  # kind, pattern, m, n_max
 README_COMMAND = ["bounds", "uparrow", "-x", "3", "-y", "3"]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
@@ -52,6 +56,13 @@ def _bound_row(name: str, value, secs: float) -> dict:
         digest, work = _digest(format(value.exact, "x")), {"bits": value.exact.bit_length()}
     return {"name": name, "layer": "bounds", "result_sha256": digest, "work": work,
             "seconds": secs}
+
+
+def _series_row(name: str, coeffs, order: int, secs: float) -> dict:
+    # int() also reads the Fraction coefficients of earlier checkouts
+    digest = _digest(" ".join(format(int(c), "x") for c in coeffs))
+    return {"name": name, "layer": "series", "result_sha256": digest,
+            "work": {"order": order}, "seconds": secs}
 
 
 def _clear_caches() -> None:
@@ -75,10 +86,27 @@ def _best(call):
 
 
 def measure() -> list[dict]:
-    from patstats import asymptotics, bounds, cli
+    from patstats import asymptotics, bounds, cli, genfunc
+    from patstats.oracle import CountKind
     from patstats.words import Pattern
 
     rows = []
+    for kind, text, m, order in SERIES:
+        p = Pattern.from_text(text)
+        if kind is None:
+            series, secs = _best(lambda: genfunc.ogf_bivariate(p, m, order))
+            coeffs = [series.coeff_hole(n, h) for n in range(order + 1) for h in range(n + 1)]
+            name = f"ogf_bivariate({text!r}, {m}, {order})"
+        else:
+            series, secs = _best(lambda: genfunc.ogf_build(CountKind[kind], p, m, order))
+            coeffs = [series.coeff(n) for n in range(order + 1)]
+            name = f"ogf_build({kind}, {text!r}, {m}, {order})"
+        rows.append(_series_row(name, coeffs, order, secs))
+    kind, text, m, n_max = THRESHOLD
+    threshold, secs = _best(lambda: bounds.exact_avoidance_threshold(
+        CountKind[kind], Pattern.from_text(text), m, n_max))
+    rows.append(_series_row(f"exact_avoidance_threshold({kind}, {text!r}, {m}, {n_max})",
+                            [threshold], n_max, secs))
     for x, y in UPARROW:
         rows.append(_bound_row(f"double_uparrow({x}, {y})",
                                *_best(lambda: bounds.double_uparrow(x, y))))

@@ -19,7 +19,7 @@ from .oracle import (CountKind, count, count_abelian, count_full, count_partial,
                      mean_exact, population_size, total_count)
 from .search import (SearchBudget, SearchOutcome, SearchStatus,
                      exact_ramsey_length, find_avoiding)
-from .series import BivariateSeries, Series, UPolynomial
+from .series import BivariateSeries, Series
 from .words import (HOLE, Morphism, Pattern, PatternSignature, PartialWord,
                     Word, apply_morphism, compatible, signature, zimin)
 
@@ -37,7 +37,7 @@ __all__ = [
     "mean_exact", "population_size", "total_count",
     "SearchBudget", "SearchOutcome", "SearchStatus", "exact_ramsey_length",
     "find_avoiding",
-    "BivariateSeries", "Series", "UPolynomial",
+    "BivariateSeries", "Series",
     "HOLE", "Morphism", "Pattern", "PatternSignature", "PartialWord", "Word",
     "apply_morphism", "compatible", "signature", "zimin",
 ]

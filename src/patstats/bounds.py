@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .asymptotics import MeanKind, abelian_constant, DEFAULT_ABELIAN_EPS
 from .errors import BudgetExceededError
-from .genfunc import ogf_build
+from .genfunc import _occurrence_terms
 from .oracle import CountKind, population_size
 from .words import Pattern, PatternSignature, signature
 
@@ -233,8 +233,10 @@ def exact_avoidance_threshold(kind: CountKind, p: Pattern, m: int, n_max: int,
     """Largest n <= n_max with exact mean occurrence count < 1 for every n' <= n.
 
     Occurrence counts are integers, so a mean below 1 guarantees an avoiding
-    object of that length; the coefficients come from the exact series and the
-    populations are counted in closed form, making this bound rigorous.
+    object of that length; the totals come from the exact series and the
+    populations are counted in closed form, making this bound rigorous.  The
+    totals are read one length at a time, and the first mean of at least 1
+    (total >= population) ends the scan.
     """
     if kind not in (CountKind.FULL, CountKind.ABELIAN, CountKind.PARTIAL_COLLAPSED):
         raise ValueError("exact thresholds cover FULL, ABELIAN, and PARTIAL_COLLAPSED")
@@ -244,9 +246,9 @@ def exact_avoidance_threshold(kind: CountKind, p: Pattern, m: int, n_max: int,
         raise BudgetExceededError(
             f"series order {n_max} exceeds the budget of {series_budget}",
             needed=n_max, budget=series_budget)
-    series = ogf_build(kind, p, m, n_max)
-    for n in range(1, n_max + 1):
-        mean = Fraction(series.coeff(n)) / population_size(kind, n, m)
-        if mean >= 1:
+    totals = _occurrence_terms(kind, p, m, n_max)
+    next(totals)  # length 0
+    for n, total in enumerate(totals, 1):
+        if total >= population_size(kind, n, m):
             return n - 1
     return n_max

@@ -56,10 +56,11 @@ def _parse_word(text: str, m: int, kind: CountKind, hole_char: str):
 def _format_value(value):
     if isinstance(value, bool) or value is None:
         return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
+    if isinstance(value, (int, Fraction)):
+        text = bounds._decimal(value.numerator)
+        if value.denominator == 1:
+            return text
+        return f"{text}/{bounds._decimal(value.denominator)}"
     if isinstance(value, bounds.BoundValue):
         if value.is_exact:
             return str(value)

@@ -18,19 +18,32 @@ can fill k_j z-weight per image coordinate:
     bivariate          hole-marked columns:          1/(1 - (u^{k_j} + m[(1+u)^{k_j} - u^{k_j}]) z^{k_j}) - 1
     ABELIAN            anagram columns:              sum_l M(l, m, k_j) z^{k_j l}
 
-with M the multinomial power sum.
+with M the multinomial power sum.  For FULL and PARTIAL_COLLAPSED each factor
+is a_j z^{k_j} / (1 - a_j z^{k_j}) and the outer factor is 1/(1 - b z)^2, so the
+series is the rational function N/D with
+
+    N = (a_1 ... a_r) z^(k_1 + ... + k_r),    D = (1 - b z)^2 (1 - a_1 z^{k_1}) ... (1 - a_r z^{k_r}),
+
+b = m for FULL and u + m with holes marked (m + 1 at u = 1).  D(0) = 1, so the
+coefficients follow the integer recurrence c_n = N_n - sum_{i>=1} D_i c_{n-i}.
+ABELIAN is not rational: there N is the product of the sparse factors,
+truncated at the order, and D = (1 - m z)^2.  The bivariate series runs the same
+recurrence at u = 2^s (Kronecker substitution): evaluation at 2^s is a ring
+homomorphism Z[u] -> Z, and every [z^n u^h] is at most the u = 1 total [z^n],
+which is below 2^s, so the h-th base-2^s digit of the n-th term is [z^n u^h].
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
+from math import prod
 from operator import mul
 
 from .oracle import CountKind
-from .series import BivariateSeries, Series, UPolynomial
+from .series import BivariateSeries, Series
 from .words import Pattern, signature
 
 
@@ -89,30 +102,58 @@ def multinomial_power_sum_enum(length: int, m: int, k: int) -> int:
     return walk(m, length, 1)
 
 
-def _geometric(scale: int | UPolynomial, step: int, order: int,
-               bivariate: bool = False) -> Series:
-    """1/(1 - scale * z^step) as an explicit truncated series."""
-    cls = BivariateSeries if bivariate else Series
-    one: Fraction | UPolynomial = UPolynomial((1,)) if bivariate else Fraction(1)
-    zero = one * 0
-    coeffs = [zero] * (order + 1)
-    power = one
-    pos = 0
-    while pos <= order:
-        coeffs[pos] = power
-        power = power * scale
-        pos += step
-    return cls(coeffs, order)
+def _ratio_terms(num: list[int], den: list[int]) -> Iterator[int]:
+    """[z^n] N(z)/D(z) for n = 0, 1, 2, ..., where D(0) = 1.
+
+    The integer recurrence c_n = N_n - sum_{i>=1} D_i c_{n-i}, with N zero past
+    its last listed coefficient; only the last deg D terms are kept.
+    """
+    taps = den[1:]
+    recent = deque(maxlen=len(taps))  # recent[i - 1] = c_{n-i}
+    for top in chain(num, repeat(0)):
+        c = top - sum(map(mul, taps, recent))
+        recent.appendleft(c)
+        yield c
 
 
-def _minus_one(series: Series) -> Series:
-    coeffs = list(series.coeffs)
-    coeffs[0] = coeffs[0] - series._one()
-    return type(series)(coeffs, series.order)
+def _times_binomial(poly: list[int], a: int, k: int) -> list[int]:
+    """poly * (1 - a z^k)."""
+    out = poly + [0] * k
+    for i, c in enumerate(poly):
+        out[i + k] -= a * c
+    return out
 
 
-def ogf_build(kind: CountKind, p: Pattern, m: int, order: int) -> Series:
-    """The occurrence-total generating function, truncated at the given order."""
+def _rational_form(kind: CountKind, mults: tuple[int, ...], m: int, order: int,
+                   u: int = 1) -> tuple[list[int], list[int]]:
+    """N and D with [z^n] N/D the occurrence total at length n, for n <= order.
+
+    u is the value of the hole marker; only PARTIAL_COLLAPSED reads it.
+    """
+    if kind is CountKind.ABELIAN:
+        num = [1] + [0] * order
+        for kj in mults:
+            table = _mps_table(order // kj, m, kj)
+            product = [0] * (order + 1)
+            for i, c in enumerate(num):
+                if c:
+                    for ell in range(1, (order - i) // kj + 1):
+                        product[i + kj * ell] += c * table[ell]
+            num = product
+        return num, [1, -2 * m, m * m]
+    if kind is CountKind.FULL:
+        b, columns = m, [m] * len(mults)
+    else:
+        b = u + m
+        columns = [u ** kj + m * ((1 + u) ** kj - u ** kj) for kj in mults]
+    den = _times_binomial(_times_binomial([1], b, 1), b, 1)
+    for kj, a in zip(mults, columns):
+        den = _times_binomial(den, a, kj)
+    return [0] * sum(mults) + [prod(columns)], den
+
+
+def _occurrence_terms(kind: CountKind, p: Pattern, m: int, order: int) -> Iterator[int]:
+    """The occurrence totals at lengths 0, 1, ..., order, one per step."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if m < 1:
@@ -120,56 +161,40 @@ def ogf_build(kind: CountKind, p: Pattern, m: int, order: int) -> Series:
     if kind is CountKind.PARTIAL_MORPHISM:
         raise ValueError("no closed-form series for the morphism-counting convention;"
                          " use PARTIAL_COLLAPSED")
-    sig = signature(p)
-    if kind is CountKind.FULL:
-        outer = _geometric(m, 1, order)
-        factors = [_minus_one(_geometric(m, kj, order)) for kj in sig.mults]
-    elif kind is CountKind.PARTIAL_COLLAPSED:
-        outer = _geometric(m + 1, 1, order)
-        factors = [_minus_one(_geometric(m * 2 ** kj - m + 1, kj, order))
-                   for kj in sig.mults]
-    elif kind is CountKind.ABELIAN:
-        outer = _geometric(m, 1, order)
-        factors = []
-        for kj in sig.mults:
-            coeffs = [Fraction(0)] * (order + 1)
-            top = order // kj
-            if top >= 1:
-                table = _mps_table(top, m, kj)
-                for ell in range(1, top + 1):
-                    coeffs[kj * ell] = Fraction(table[ell])
-            factors.append(Series(coeffs, order))
-    else:
+    if kind not in (CountKind.FULL, CountKind.PARTIAL_COLLAPSED, CountKind.ABELIAN):
         raise ValueError(f"unsupported kind {kind}")
-    out = outer * outer
-    for f in factors:
-        out = out * f
-    return out
+    num, den = _rational_form(kind, signature(p).mults, m, order)
+    return islice(_ratio_terms(num, den), order + 1)
+
+
+def _digits(value: int, s: int, width: int) -> tuple[int, ...]:
+    """The lowest `width` base-2^s digits of value >= 0, least significant first."""
+    bits = format(value, "b").zfill(s * width)
+    ends = range(len(bits), len(bits) - s * width, -s)
+    return tuple(int(bits[end - s:end], 2) for end in ends)
+
+
+def ogf_build(kind: CountKind, p: Pattern, m: int, order: int) -> Series:
+    """The occurrence-total generating function, truncated at the given order."""
+    return Series(_occurrence_terms(kind, p, m, order))
 
 
 def ogf_bivariate(p: Pattern, m: int, order: int) -> BivariateSeries:
     """Hole-marked partial-word series: [z^n u^h] totals collapsed counts at h holes."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if m < 1:
-        raise ValueError("alphabet size must be >= 1")
-    sig = signature(p)
-    u = UPolynomial.u()
-    outer = _geometric(u + m, 1, order, bivariate=True)
-    out = outer * outer
-    for kj in sig.mults:
-        column = u ** kj + ((u + 1) ** kj - u ** kj) * m
-        out = out * _minus_one(_geometric(column, kj, order, bivariate=True))
-    return out
+    totals = ogf_build(CountKind.PARTIAL_COLLAPSED, p, m, order).coeffs
+    s = 1 + max(c.bit_length() for c in totals)
+    num, den = _rational_form(CountKind.PARTIAL_COLLAPSED, signature(p).mults, m, order,
+                              u=1 << s)
+    packed = islice(_ratio_terms(num, den), order + 1)
+    return BivariateSeries(_digits(value, s, n + 1) for n, value in enumerate(packed))
 
 
-def coeff(series: Series, n: int, h: int | None = None) -> Fraction:
+def coeff(series: Series, n: int, h: int | None = None) -> int:
     """Exact coefficient [z^n] (or [z^n u^h] for a bivariate series)."""
     if h is None:
-        value = series.coeff(n)
-        if isinstance(value, UPolynomial):
+        if isinstance(series, BivariateSeries):
             raise ValueError("bivariate series needs the hole power h")
-        return value
+        return series.coeff(n)
     if not isinstance(series, BivariateSeries):
         raise ValueError("hole power given for a univariate series")
     return series.coeff_hole(n, h)

@@ -1,143 +1,22 @@
-"""Truncated power series with exact coefficients, plus polynomials in a hole marker.
+"""Read-only truncated power series with exact integer coefficients.
 
-No floating point anywhere: coefficients are Fractions, or UPolynomial values
-(exact polynomials in the marker variable u) for the bivariate series.
+The series builders in genfunc fill these containers; nothing here computes.
+A Series holds [z^n] for n = 0..order.  A BivariateSeries holds, for each n,
+the row of hole coefficients [z^n u^h] for h = 0..n.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-_SCALARS = (int, Fraction)
-
-
-class UPolynomial:
-    """Polynomial in the hole-marking variable u with exact rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, value) -> "UPolynomial":
-        return cls((value,))
-
-    @classmethod
-    def u(cls) -> "UPolynomial":
-        return cls((0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __getitem__(self, h: int) -> Fraction:
-        if 0 <= h < len(self.coeffs):
-            return self.coeffs[h]
-        return Fraction(0)
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _SCALARS):
-            other = UPolynomial((other,))
-        if not isinstance(other, UPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other) -> "UPolynomial":
-        if isinstance(other, _SCALARS):
-            other = UPolynomial((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPolynomial(tuple(self[i] + other[i] for i in range(n)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "UPolynomial":
-        return UPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = UPolynomial((other,))
-        if not isinstance(other, UPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other) -> "UPolynomial":
-        if isinstance(other, _SCALARS):
-            return UPolynomial(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, UPolynomial):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UPolynomial(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "UPolynomial":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        acc = UPolynomial((1,))
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
-    def inverse(self) -> "UPolynomial":
-        """Multiplicative inverse; only nonzero constants are invertible."""
-        if self.degree != 0:
-            raise ZeroDivisionError("only nonzero constant polynomials are invertible")
-        return UPolynomial((Fraction(1) / self.coeffs[0],))
-
-    def __repr__(self):
-        return f"UPolynomial({list(self.coeffs)!r})"
-
-
-def _invert_coeff(c):
-    if isinstance(c, UPolynomial):
-        return c.inverse()
-    return Fraction(1) / Fraction(c)
-
 
 class Series:
-    """Dense truncated power series; arithmetic carries order = min of operand orders."""
+    """Coefficients [z^0], ..., [z^order] of a power series."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, order: int | None = None):
-        cs = list(coeffs)
-        if not cs:
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+        if not self.coeffs:
             raise ValueError("series needs at least the constant coefficient")
-        cs = [c if isinstance(c, (Fraction, UPolynomial)) else Fraction(c) for c in cs]
-        zero = cs[0] * 0
-        if order is not None:
-            if order < 0:
-                raise ValueError("order must be >= 0")
-            cs = cs[:order + 1] + [zero] * (order + 1 - len(cs))
-        self.coeffs = tuple(cs)
 
     @property
     def order(self) -> int:
@@ -148,14 +27,6 @@ class Series:
             raise ValueError(f"coefficient index {n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    def _zero(self):
-        return self.coeffs[0] * 0
-
-    def _one(self):
-        if isinstance(self.coeffs[0], UPolynomial):
-            return UPolynomial((1,))
-        return Fraction(1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
@@ -164,68 +35,6 @@ class Series:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other: "Series") -> "Series":
-        order = min(self.order, other.order)
-        return type(self)(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), order)
-
-    def __sub__(self, other: "Series") -> "Series":
-        order = min(self.order, other.order)
-        return type(self)(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), order)
-
-    def __neg__(self) -> "Series":
-        return type(self)(tuple(-c for c in self.coeffs), self.order)
-
-    def __mul__(self, other: "Series") -> "Series":
-        order = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [self._zero() for _ in range(order + 1)]
-        for i in range(min(len(a), order + 1)):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(min(len(b), order + 1 - i)):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return type(self)(out, order)
-
-    def scale(self, c) -> "Series":
-        return type(self)(tuple(x * c for x in self.coeffs), self.order)
-
-    def shift(self, t: int) -> "Series":
-        """Multiply by z^t, truncating at the same order."""
-        if t < 0:
-            raise ValueError("shift must be >= 0")
-        zero = self._zero()
-        return type(self)([zero] * t + list(self.coeffs), self.order)
-
-    def reciprocal(self) -> "Series":
-        """R with self * R = 1 up to the truncation order; needs an invertible constant term."""
-        c0 = self.coeffs[0]
-        if not c0:
-            raise ValueError("reciprocal needs a nonzero constant term")
-        inv0 = _invert_coeff(c0)
-        order = self.order
-        out = [inv0]
-        for n in range(1, order + 1):
-            acc = self._zero()
-            for i in range(1, min(n, len(self.coeffs) - 1) + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * out[n - i]
-            out.append(-(acc * inv0))
-        return type(self)(out, order)
-
-    def __pow__(self, k: int) -> "Series":
-        if k < 0:
-            raise ValueError("negative series power; take reciprocal() first")
-        acc = type(self)([self._one()], self.order)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
     def __repr__(self):
         head = ", ".join(repr(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""
@@ -233,15 +42,14 @@ class Series:
 
 
 class BivariateSeries(Series):
-    """Series in z whose coefficients are exact polynomials in the hole marker u."""
+    """Series in z whose n-th coefficient is the tuple of [z^n u^h] for h = 0..n."""
 
-    def coeff_hole(self, n: int, h: int) -> Fraction:
+    def coeff_hole(self, n: int, h: int) -> int:
         """The coefficient of z^n u^h."""
         if h < 0 or h > n:
             raise ValueError("hole power must lie in [0, n]")
-        poly = self.coeff(n)
-        return poly[h]
+        return self.coeff(n)[h]
 
     def at_u_one(self) -> Series:
         """Specialize u = 1, giving the univariate series of hole-summed totals."""
-        return Series([p(1) for p in self.coeffs], self.order)
+        return Series(sum(row) for row in self.coeffs)

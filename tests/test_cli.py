@@ -102,9 +102,11 @@ def test_overflow_past_float_range_is_a_marker(capsys, argv):
 @pytest.mark.parametrize("argv, expected", [
     (("bounds", "uparrow", "-x", "2", "-y", "5"), 2 ** 65536),
     (("bounds", "zimin-upper", "-m", "3", "-i", "4"), 3 ** 17503 * 17504 + 17503),
-], ids=["uparrow-2-5", "zimin-upper-3-4"])
+    # an exact series coefficient, C(731, 2) * 10^(6 * 730): 4,386 digits
+    (("coeff", "--kind", "full", "-p", "a", "-m", "1000000", "-n", "730"), 266815 * 10 ** 4380),
+], ids=["uparrow-2-5", "zimin-upper-3-4", "coeff-full-a-730"])
 def test_exact_bounds_print_every_digit(capsys, argv, expected):
-    # both have more digits than the interpreter's default int-to-str limit
+    # each has more digits than the interpreter's default int-to-str limit
     limit = sys.get_int_max_str_digits()
     record = run_json(capsys, *argv)
     assert sys.get_int_max_str_digits() == limit

@@ -6,19 +6,26 @@ M(l, m, k) are extended one l at a time instead of rebuilt as doubling tables.
 The replaced formulations are kept here as references, and the abelian
 constants are pinned to the values, term counts and tail bounds the rebuilt
 tables produced, as float hex strings.  Patterns with several variables of one
-multiplicity compute that multiplicity's factor once.
+multiplicity compute that multiplicity's factor once.  The series come from
+one integer recurrence for N/D (the bivariate one packed at u = 2^s) instead
+of products of truncated series; the product form, with each geometric factor
+written out term by term as the genfunc docstring derives it, is the reference.
 """
 
 import math
+import operator
 from itertools import islice
 
 import pytest
 
 from patstats import asymptotics, bounds
 from patstats.asymptotics import MeanKind, abelian_constant, mean_asymptotic
-from patstats.bounds import DEFAULT_DIGIT_CAP, _reaches_cap, avoidance_threshold
+from patstats.bounds import (DEFAULT_DIGIT_CAP, _reaches_cap, avoidance_threshold,
+                             exact_avoidance_threshold)
 from patstats.errors import ToleranceError
-from patstats.genfunc import _mps_table, _mps_terms, multinomial_power_sum_enum
+from patstats.genfunc import (_mps_table, _mps_terms, multinomial_power_sum_enum,
+                              ogf_bivariate, ogf_build)
+from patstats.oracle import CountKind
 from patstats.words import Pattern, signature
 
 
@@ -149,3 +156,129 @@ def test_equal_multiplicities_share_one_abelian_factor(monkeypatch, text):
     assert [c.value for c in got.abelian_factors] == consts
     assert avoidance_threshold(MeanKind.ABELIAN, p, m).hex() == threshold.hex()
     assert calls == 2 * list(dict.fromkeys(sig.repeated))
+
+
+# --- the series recurrence ------------------------------------------------------
+
+SERIES_KINDS = [CountKind.FULL, CountKind.PARTIAL_COLLAPSED, CountKind.ABELIAN]
+SERIES_CORPUS = ["a", "aa", "ab", "aba", "aab", "abab", "abba",
+                 "abac", "abaca", "abacab", "abacaba"]
+
+
+def _series_product(factors, order, zero, add, times):
+    out = factors[0]
+    for factor in factors[1:]:
+        new = [zero] * (order + 1)
+        for i, x in enumerate(out):
+            for j in range(order + 1 - i):
+                new[i + j] = add(new[i + j], times(x, factor[j]))
+        out = new
+    return out
+
+
+def _product_form(kind, p, m, order):
+    """The occurrence totals as the product of the outer sequence, twice, and one
+    factor per variable, each geometric series written out term by term."""
+    b = m + 1 if kind is CountKind.PARTIAL_COLLAPSED else m
+    outer = [b ** n for n in range(order + 1)]
+    factors = [outer, outer]
+    for k in signature(p).mults:
+        top = order // k
+        if kind is CountKind.ABELIAN:
+            terms = _mps_table(top, m, k)
+        else:
+            column = m if kind is CountKind.FULL else m * 2 ** k - m + 1
+            terms = [column ** ell for ell in range(top + 1)]
+        factor = [0] * (order + 1)
+        for ell in range(1, top + 1):
+            factor[k * ell] = terms[ell]
+        factors.append(factor)
+    return _series_product(factors, order, 0, operator.add, operator.mul)
+
+
+def _upoly_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
+
+
+def _upoly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _upoly_pow(a, e):
+    out = [1]
+    for _ in range(e):
+        out = _upoly_mul(out, a)
+    return out
+
+
+def _hole_product_form(p, m, order):
+    """[z^n u^h] as the same product over polynomials in u (lists, h ascending)."""
+    u_plus_m = [m, 1]
+    outer = [_upoly_pow(u_plus_m, n) for n in range(order + 1)]
+    factors = [outer, outer]
+    for k in signature(p).mults:
+        all_holes = [0] * k + [1]
+        column = _upoly_add(all_holes, [m * c for c in _upoly_add(
+            _upoly_pow([1, 1], k), [-c for c in all_holes])])
+        factor = [[0] for _ in range(order + 1)]
+        for ell in range(1, order // k + 1):
+            factor[k * ell] = _upoly_pow(column, ell)
+        factors.append(factor)
+    rows = _series_product(factors, order, [0], _upoly_add, _upoly_mul)
+    return [tuple((row + [0] * (n + 1))[:n + 1]) for n, row in enumerate(rows)]
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("text", SERIES_CORPUS)
+def test_ogf_build_matches_product_form(kind, text):
+    p = Pattern.from_text(text)
+    for m in range(1, 6):
+        expected = _product_form(kind, p, m, 40)
+        for order in (0, 1, 7, 40):
+            series = ogf_build(kind, p, m, order)
+            assert series.order == order
+            assert series.coeffs == tuple(expected[:order + 1]), (m, order)
+            assert all(type(c) is int for c in series.coeffs)
+
+
+# (pattern, m, order, largest u = 1 total): each total sits at a power-of-two
+# edge of the digit width
+HOLE_WIDTH_EDGES = [("aa", 2, 2, 2 ** 3 - 1), ("aaa", 2, 3, 2 ** 4 - 1),
+                    ("aa", 5, 2, 2 ** 4), ("ab", 3, 3, 2 ** 8)]
+
+
+@pytest.mark.parametrize("case", [(t, m, o) for t in ("aa", "aba", "abab", "abacaba")
+                                  for m in (1, 2, 3) for o in (0, 3, 15)]
+                         + [edge[:3] for edge in HOLE_WIDTH_EDGES],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_ogf_bivariate_matches_product_form(case):
+    text, m, order = case
+    p = Pattern.from_text(text)
+    series = ogf_bivariate(p, m, order)
+    assert tuple(series.coeff(n) for n in range(order + 1)) == \
+        tuple(_hole_product_form(p, m, order))
+    assert series.at_u_one() == ogf_build(CountKind.PARTIAL_COLLAPSED, p, m, order)
+
+
+def test_hole_width_edges_are_edges():
+    for text, m, order, largest in HOLE_WIDTH_EDGES:
+        totals = ogf_build(CountKind.PARTIAL_COLLAPSED, Pattern.from_text(text), m, order)
+        assert max(totals.coeffs) == largest
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("text", ["aa", "aba", "abab", "abacaba"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exact_threshold_matches_product_form(kind, text, m):
+    n_max = 60
+    p = Pattern.from_text(text)
+    totals = _product_form(kind, p, m, n_max)
+    base = m + 1 if kind is CountKind.PARTIAL_COLLAPSED else m
+    expected = next((n - 1 for n in range(1, n_max + 1) if totals[n] >= base ** n), n_max)
+    assert exact_avoidance_threshold(kind, p, m, n_max) == expected
