@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Before/after timings of the series builders, the bound calculators and the
-abelian constant.
+"""Before/after timings of the oracle totals, the avoidance search, the series
+builders, the bound calculators and the abelian constant.
 
-Each row times one call with time.perf_counter, best of REPEAT runs, with
-every functools cache of the library emptied before each run so a run costs
-what a fresh script pays.  A row records its inputs, a hash of the result (so
-the two sides can be seen to give the same answer) and a work counter.
+Each row times one call with time.perf_counter, best of REPEAT runs (one run
+for the oracle totals, which take seconds to minutes), with every functools
+cache of the library emptied before each run so a run costs what a fresh
+script pays.  A row records its inputs, a hash of the result (so the two sides
+can be seen to give the same answer) and a work counter.
 
     python scripts/bench.py                        # rows for the library on sys.path
     python scripts/bench.py --before OLD --after NEW --out BENCH.json
@@ -38,6 +39,10 @@ REPEAT = 3
 # (kind or None for the bivariate series, pattern, m, order)
 SERIES = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 300), (None, "aba", 2, 60)]
 THRESHOLD = ("FULL", "abab", 3, 2000)  # kind, pattern, m, n_max
+# (kind, pattern, n, m): the oracle totals of the ROADMAP baseline table
+TOTALS = [("FULL", "aba", 16, 2), ("ABELIAN", "aba", 14, 2), ("PARTIAL_COLLAPSED", "aba", 10, 2)]
+FIND = ("FULL", "abab", 3, 40)  # kind, pattern, m, length
+RAMSEY = ("FULL", "aba", 3, 12)  # kind, pattern, m, n_max
 README_COMMAND = ["bounds", "uparrow", "-x", "3", "-y", "3"]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
@@ -74,9 +79,9 @@ def _clear_caches() -> None:
     gc.collect()
 
 
-def _best(call):
+def _best(call, repeat=REPEAT):
     best = None
-    for _ in range(REPEAT):
+    for _ in range(repeat):
         _clear_caches()
         start = time.perf_counter()
         result = call()
@@ -85,12 +90,53 @@ def _best(call):
     return result, best
 
 
+def _search_nodes(call) -> int:
+    """Nodes a search visits: each node asks once whether it closes an occurrence."""
+    from patstats import search
+    inner = search._closes_occurrence
+    nodes = 0
+
+    def counted(*args):
+        nonlocal nodes
+        nodes += 1
+        return inner(*args)
+
+    search._closes_occurrence = counted
+    try:
+        call()
+    finally:
+        search._closes_occurrence = inner
+    return nodes
+
+
 def measure() -> list[dict]:
-    from patstats import asymptotics, bounds, cli, genfunc
+    from patstats import asymptotics, bounds, cli, genfunc, oracle, search
     from patstats.oracle import CountKind
     from patstats.words import Pattern
 
     rows = []
+    for kind, text, n, m in TOTALS:
+        total, secs = _best(lambda: oracle.total_count(CountKind[kind], n, m,
+                                                       Pattern.from_text(text)), repeat=1)
+        rows.append({"name": f"total_count({kind}, {text!r}, n={n}, m={m})", "layer": "oracle",
+                     "result_sha256": _digest(format(total, "x")),
+                     "work": {"words": oracle.population_size(CountKind[kind], n, m)},
+                     "seconds": secs})
+    kind, text, m, length = FIND
+    outcome, secs = _best(lambda: search.find_avoiding(CountKind[kind], Pattern.from_text(text),
+                                                       m, length))
+    witness = None if outcome.witness is None else outcome.witness.to_text()
+    rows.append({"name": f"find_avoiding({kind}, {text!r}, {m}, {length})", "layer": "search",
+                 "result_sha256": _digest(f"{outcome.status.value} {witness}"),
+                 "work": {"nodes": outcome.nodes}, "seconds": secs})
+    kind, text, m, n_max = RAMSEY
+
+    def ramsey():
+        return search.exact_ramsey_length(CountKind[kind], Pattern.from_text(text), m, n_max)
+    value, secs = _best(ramsey)
+    rows.append({"name": f"exact_ramsey_length({kind}, {text!r}, {m}, {n_max})",
+                 "layer": "search", "result_sha256": _digest(str(value)),
+                 "work": {"nodes": _search_nodes(ramsey)}, "seconds": secs})
     for kind, text, m, order in SERIES:
         p = Pattern.from_text(text)
         if kind is None:
@@ -165,8 +211,8 @@ def compare(before: str, after: str) -> dict:
                      "before": {k: a[k] for k in ("result_sha256", "work", "seconds")},
                      "after": {k: b[k] for k in ("result_sha256", "work", "seconds")},
                      "speedup": a["seconds"] / b["seconds"]})
-    return {"method": f"time.perf_counter, best of {REPEAT}, caches emptied before each run;"
-                      " the tier-1 suite runs once per side",
+    return {"method": f"time.perf_counter, best of {REPEAT} (the oracle totals: one run),"
+                      " caches emptied before each run; the tier-1 suite runs once per side",
             "machine": {"python": platform.python_version(), "platform": platform.platform(),
                         "nproc": os.cpu_count()},
             "rows": rows}

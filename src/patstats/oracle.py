@@ -17,8 +17,18 @@ consistency rule between blocks of equal pattern variables:
                      reproduces; the two conventions genuinely differ (on ".."
                      over two letters, pattern "aa" counts 2 vs 1).
 
-Totals and exact means enumerate every word of the requested shape; the work
-is bounded up front by a budget measured in visited words.
+All four counts walk one kernel, `_walker`, which also answers the search's
+question whether an occurrence ends at a given position.
+
+Totals and exact means sum over every word of the requested shape; the budget
+is measured in words of that shape.  A permutation of the letters maps
+occurrences to occurrences and fixes the holes, so it preserves all four
+counts and, being a bijection, every hole count.  The words other than the
+all-hole one split into m classes by their first letter (after any holes),
+and the transposition of 0 and c maps the class of c onto the class of 0.
+So the total is m times the total over the words whose first letter is 0,
+plus the count of the all-hole word where the shape admits it, and only
+that class is walked.
 """
 
 from __future__ import annotations
@@ -26,7 +36,8 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from itertools import combinations, product
+from functools import partial
+from itertools import accumulate, combinations, product
 from math import comb
 
 from .errors import BudgetExceededError
@@ -45,138 +56,147 @@ class CountKind(enum.Enum):
 PARTIAL_KINDS = (CountKind.PARTIAL_MORPHISM, CountKind.PARTIAL_COLLAPSED)
 
 
-def _count_full_raw(letters: tuple[int, ...], syms: tuple[int, ...]) -> int:
-    n = len(letters)
+def _conflicts(chars, m: int) -> tuple[list[int], int]:
+    """Per shift d, the bits i where chars[i] and chars[i + d] are two different
+    letters; and the bits of the holes."""
+    masks = [0] * m
+    for i, c in enumerate(chars):
+        if c != HOLE:
+            masks[c] |= 1 << i
+    defined = 0
+    for x in masks:
+        defined |= x
+    out = [0]
+    for d in range(1, len(chars)):
+        same = 0
+        for x in masks:
+            same |= x & (x >> d)
+        out.append(defined & (defined >> d) & ~same)
+    return out, ((1 << len(chars)) - 1) & ~defined
+
+
+def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
+    """The occurrence walk shared by the oracle and the search.
+
+    Returns occurrences(chars, hi=None).  Count mode (hi None): the number of
+    occurrences in chars, each PARTIAL_MORPHISM occurrence weighted by m per
+    all-hole coordinate.  Exists mode: 1 if some occurrence ends exactly at
+    hi, else 0; the two partial conventions agree there, every weight being
+    at least 1.
+
+    Blocks of a repeated variable are checked against the variable's earlier
+    blocks without slicing.  ABELIAN compares letter histograms read off
+    prefix sums packed in one int per position (base 2^bits > hi, so no
+    packed count carries).  The other kinds use per-shift conflict masks: two
+    blocks are compatible iff no coordinate holds two different letters,
+    which on a hole-free word means identical, so FULL checks the first block
+    only.  For the partial kinds compatibility with each earlier block is
+    compatibility with their overlay, since consistent blocks agree on every
+    letter they define.
+
+    The length equation prunes fresh variables.  Which variables are bound at
+    each pattern index is fixed by the pattern, so a fresh variable occurring
+    c times from here on gets a length of at most (room - fixed - free) // c,
+    where fixed is the total length of the later blocks of bound variables
+    and free the number of later blocks of still-fresh ones.  In exists mode
+    the last fresh variable's length is fixed by the equation exactly.
+    """
     k = len(syms)
-    bound: dict[int, tuple[int, ...]] = {}
-
-    def walk(idx: int, pos: int) -> int:
-        if idx == k:
-            return 1
-        v = syms[idx]
-        rest = k - idx - 1
-        piece = bound.get(v)
-        if piece is not None:
-            end = pos + len(piece)
-            if end + rest > n or letters[pos:end] != piece:
-                return 0
-            return walk(idx + 1, end)
-        total = 0
-        for length in range(1, n - pos - rest + 1):
-            bound[v] = letters[pos:pos + length]
-            total += walk(idx + 1, pos + length)
-        bound.pop(v, None)
-        return total
-
-    return sum(walk(0, start) for start in range(n))
-
-
-def _count_abelian_raw(letters: tuple[int, ...], m: int, syms: tuple[int, ...]) -> int:
-    n = len(letters)
-    k = len(syms)
-    # binding per variable: (block length, letter histogram)
-    bound: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    def hist(lo: int, hi: int) -> tuple[int, ...]:
-        h = [0] * m
-        for c in letters[lo:hi]:
-            h[c] += 1
-        return tuple(h)
-
-    def walk(idx: int, pos: int) -> int:
-        if idx == k:
-            return 1
-        v = syms[idx]
-        rest = k - idx - 1
-        entry = bound.get(v)
-        if entry is not None:
-            length, h = entry
-            end = pos + length
-            if end + rest > n or hist(pos, end) != h:
-                return 0
-            return walk(idx + 1, end)
-        total = 0
-        for length in range(1, n - pos - rest + 1):
-            bound[v] = (length, hist(pos, pos + length))
-            total += walk(idx + 1, pos + length)
-        bound.pop(v, None)
-        return total
-
-    return sum(walk(0, start) for start in range(n))
-
-
-def _merge_overlay(overlay: tuple[int, ...], block: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Superpose a new block of the same variable; None on a letter conflict."""
-    out = []
-    for a, b in zip(overlay, block):
-        if a == HOLE:
-            out.append(b)
-        elif b == HOLE or b == a:
-            out.append(a)
+    firsts = [syms.index(v) for v in syms]
+    # per index: (c, free, ()) for a variable's first block, where c counts the
+    # variable's blocks and free the later first blocks of other variables;
+    # (0, first, others) for a later block, checked against the blocks at those indices
+    partial_kind = kind in PARTIAL_KINDS
+    plan = []
+    for idx, v in enumerate(syms):
+        first = firsts[idx]
+        if first == idx:
+            plan.append((syms.count(v), len([f for f in firsts[idx + 1:] if f > idx]), ()))
         else:
-            return None
-    return tuple(out)
+            others = [j for j in range(first + 1, idx) if syms[j] == v] if partial_kind else ()
+            plan.append((0, first, others))
+    groups = [[j for j, u in enumerate(syms) if u == v] for v in set(syms)] \
+        if kind is CountKind.PARTIAL_MORPHISM else ()
+    abelian = kind is CountKind.ABELIAN
 
+    def occurrences(chars, hi: int | None = None) -> int:
+        exists = hi is not None
+        if not exists:
+            hi = len(chars)
+        weighted = kind is CountKind.PARTIAL_MORPHISM and not exists
+        if abelian:
+            unit = [(1 << hi.bit_length()) ** c for c in range(m)]
+            pref = list(accumulate((unit[c] for c in chars[:hi]), initial=0))
+        else:
+            conf, holes = _conflicts(chars[:hi], m)
+        at = [0] * k    # start of each placed block
+        size = [0] * k  # its length
 
-def _count_partial_raw(chars: tuple[int, ...], m: int, syms: tuple[int, ...],
-                       collapsed: bool) -> int:
-    n = len(chars)
-    k = len(syms)
-    bound: dict[int, tuple[int, ...]] = {}
+        def weight() -> int:
+            w = 1
+            for group in groups:
+                free = (1 << size[group[0]]) - 1
+                for j in group:
+                    free &= holes >> at[j]
+                w *= m ** free.bit_count()
+            return w
 
-    def weight() -> int:
-        if collapsed:
-            return 1
-        w = 1
-        for overlay in bound.values():
-            free = overlay.count(HOLE)
-            if free:
-                w *= m ** free
-        return w
-
-    def walk(idx: int, pos: int) -> int:
-        if idx == k:
-            return weight()
-        v = syms[idx]
-        rest = k - idx - 1
-        overlay = bound.get(v)
-        if overlay is not None:
-            end = pos + len(overlay)
-            if end + rest > n:
-                return 0
-            merged = _merge_overlay(overlay, chars[pos:end])
-            if merged is None:
-                return 0
-            bound[v] = merged
-            total = walk(idx + 1, end)
-            bound[v] = overlay
+        def walk(idx: int, pos: int, fixed: int) -> int:
+            """Occurrences whose block idx, a fresh variable's first, starts at pos."""
+            c, free, _ = plan[idx]
+            at[idx] = pos
+            if exists and not free:
+                length, r = divmod(hi - pos - fixed, c)
+                lengths = range(length, length + 1) if length >= 1 and not r else ()
+            else:
+                lengths = range(1, (hi - pos - fixed - free) // c + 1)
+            total = 0
+            for length in lengths:
+                size[idx] = length
+                i, p, f = idx + 1, pos + length, fixed + (c - 1) * length
+                while i < k and not plan[i][0]:  # the blocks of bound variables
+                    _, first, others = plan[i]
+                    step, s = size[first], at[first]
+                    if abelian:
+                        clash = pref[p + step] - pref[p] != pref[s + step] - pref[s]
+                    else:
+                        mask = (1 << step) - 1
+                        clash = (conf[p - s] >> s) & mask
+                        for j in others:
+                            clash |= (conf[p - at[j]] >> at[j]) & mask
+                    if clash:
+                        break
+                    at[i], size[i] = p, step
+                    p, f, i = p + step, f - step, i + 1
+                else:
+                    found = walk(i, p, f) if i < k else weight() if weighted else 1
+                    if found and exists:
+                        return 1
+                    total += found
             return total
-        total = 0
-        for length in range(1, n - pos - rest + 1):
-            bound[v] = chars[pos:pos + length]
-            total += walk(idx + 1, pos + length)
-        bound.pop(v, None)
-        return total
 
-    return sum(walk(0, start) for start in range(n))
+        if exists:
+            return int(any(walk(0, lo, 0) for lo in range(hi - k + 1)))
+        return sum(walk(0, lo, 0) for lo in range(hi - k + 1))
+
+    return occurrences
 
 
 def count_full(w: Word, p: Pattern) -> int:
     """Occurrences of p in w: (position, composition) pairs with equal blocks forced."""
-    return _count_full_raw(w.letters, p.symbols)
+    return _walker(CountKind.FULL, w.m, p.symbols)(w.letters)
 
 
 def count_abelian(w: Word, p: Pattern) -> int:
     """Occurrences of p in the abelian sense: equal variables force anagram blocks."""
-    return _count_abelian_raw(w.letters, w.m, p.symbols)
+    return _walker(CountKind.ABELIAN, w.m, p.symbols)(w.letters)
 
 
 def count_partial(w: PartialWord, p: Pattern, kind: CountKind) -> int:
     """Occurrences of p in a partial word under either partial convention."""
     if kind not in PARTIAL_KINDS:
         raise ValueError(f"count_partial expects a partial kind, got {kind}")
-    return _count_partial_raw(w.chars, w.m, p.symbols,
-                              collapsed=kind is CountKind.PARTIAL_COLLAPSED)
+    return _walker(kind, w.m, p.symbols)(w.chars)
 
 
 def count(kind: CountKind, w: Word | PartialWord, p: Pattern) -> int:
@@ -229,18 +249,23 @@ def _iter_chars(kind: CountKind, n: int, m: int, holes: int | None, prefix: tupl
 
 def _total_for_prefix(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
                       holes: int | None, prefix: tuple[int, ...]) -> int:
-    total = 0
-    if kind is CountKind.FULL:
-        for chars in _iter_chars(kind, n, m, holes, prefix):
-            total += _count_full_raw(chars, syms)
-    elif kind is CountKind.ABELIAN:
-        for chars in _iter_chars(kind, n, m, holes, prefix):
-            total += _count_abelian_raw(chars, m, syms)
+    occurrences = _walker(kind, m, syms)
+    return sum(occurrences(chars) for chars in _iter_chars(kind, n, m, holes, prefix))
+
+
+def _work_units(kind: CountKind, n: int, m: int, holes: int | None) -> list[tuple[int, ...]]:
+    """Prefixes that partition the words whose first letter is 0: j leading
+    holes (none for the full kinds, at most `holes`), the letter 0 and, where
+    the word goes on, one more character."""
+    if kind in PARTIAL_KINDS:
+        alphabet, most = tuple(range(m)) + (HOLE,), min(n - 1, n if holes is None else holes)
     else:
-        collapsed = kind is CountKind.PARTIAL_COLLAPSED
-        for chars in _iter_chars(kind, n, m, holes, prefix):
-            total += _count_partial_raw(chars, m, syms, collapsed)
-    return total
+        alphabet, most = tuple(range(m)), 0
+    units = []
+    for j in range(most + 1):
+        head = (HOLE,) * j + (0,)
+        units.extend([head] if j == n - 1 else [head + (c,) for c in alphabet])
+    return units
 
 
 def total_count(kind: CountKind, n: int, m: int, p: Pattern,
@@ -251,7 +276,9 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
 
     FULL/ABELIAN range over all m^n full words; the partial kinds over all
     (m+1)^n partial words, or over the C(n,holes)*m^(n-holes) words with the
-    exact hole count when holes is given.  Aggregation is an integer sum, so
+    exact hole count when holes is given.  Only the words whose first letter
+    is 0 are walked (see the module docstring), split into prefixes of length
+    at least 2 that the workers share.  Aggregation is an integer sum, so
     partitioning the space across workers cannot change the result.
     """
     if n < 1:
@@ -267,14 +294,18 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
         raise BudgetExceededError(
             f"enumerating {pop} words exceeds the budget of {budget}",
             needed=pop, budget=budget)
-    if workers <= 1 or n == 1:
-        return _total_for_prefix(kind, n, m, p.symbols, holes, ())
-    first = list(range(m)) if kind in (CountKind.FULL, CountKind.ABELIAN) \
-        else list(range(m)) + [HOLE]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(_total_for_prefix,
-                         *zip(*[(kind, n, m, p.symbols, holes, (c,)) for c in first]))
-        return sum(parts)
+    units = _work_units(kind, n, m, holes)
+    unit_total = partial(_total_for_prefix, kind, n, m, p.symbols, holes)
+    workers = min(workers, len(units))
+    if workers <= 1:
+        half = sum(map(unit_total, units))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            half = sum(pool.map(unit_total, units))
+    all_holes = 0
+    if kind in PARTIAL_KINDS and holes in (None, n):
+        all_holes = _walker(kind, m, p.symbols)((HOLE,) * n)
+    return m * half + all_holes
 
 
 def mean_exact(kind: CountKind, n: int, m: int, p: Pattern,

@@ -2,8 +2,9 @@
 
 The search extends a word one character at a time and prunes as soon as the
 newly completed position closes an occurrence of the pattern, so only suffix
-factors ending at the last position are ever rechecked.  Found witnesses are
-re-verified against the brute-force oracle before being returned.
+factors ending at the last position are ever rechecked; that check is the
+oracle's occurrence kernel in exists mode.  Found witnesses are re-verified
+against the oracle's count before being returned.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .oracle import CountKind, PARTIAL_KINDS, count
+from .oracle import CountKind, PARTIAL_KINDS, _walker, count
 from .words import HOLE, Pattern, PartialWord, Word
 
 
@@ -40,84 +41,10 @@ class SearchOutcome:
     nodes: int
 
 
-def _merge(overlay: tuple[int, ...], block: tuple[int, ...]) -> tuple[int, ...] | None:
-    out = []
-    for a, b in zip(overlay, block):
-        if a == HOLE:
-            out.append(b)
-        elif b == HOLE or b == a:
-            out.append(a)
-        else:
-            return None
-    return tuple(out)
-
-
-def _segment_matches(chars: list[int], lo: int, hi: int, syms: tuple[int, ...],
-                     m: int, kind: CountKind) -> bool:
-    """Can chars[lo:hi] be composed into |p| nonempty blocks consistent for `kind`?
-
-    For both partial conventions existence coincides: a composition works iff
-    every overlay coordinate is conflict-free (an all-hole coordinate admits
-    any letter since m >= 1).
-    """
-    k = len(syms)
-    abelian = kind is CountKind.ABELIAN
-    partial = kind in PARTIAL_KINDS
-    bound: dict[int, object] = {}
-
-    def hist(a: int, b: int) -> tuple[int, ...]:
-        h = [0] * m
-        for c in chars[a:b]:
-            h[c] += 1
-        return tuple(h)
-
-    def walk(idx: int, pos: int) -> bool:
-        if idx == k:
-            return pos == hi
-        v = syms[idx]
-        rest = k - idx - 1
-        entry = bound.get(v)
-        if entry is not None:
-            if abelian:
-                length, h = entry
-                end = pos + length
-                if end + rest > hi:
-                    return False
-                return hist(pos, end) == h and walk(idx + 1, end)
-            end = pos + len(entry)
-            if end + rest > hi:
-                return False
-            if partial:
-                merged = _merge(entry, tuple(chars[pos:end]))
-                if merged is None:
-                    return False
-                bound[v] = merged
-                ok = walk(idx + 1, end)
-                bound[v] = entry
-                return ok
-            if tuple(chars[pos:end]) != entry:
-                return False
-            return walk(idx + 1, end)
-        for length in range(1, hi - pos - rest + 1):
-            block = tuple(chars[pos:pos + length])
-            bound[v] = (length, hist(pos, pos + length)) if abelian else block
-            if walk(idx + 1, pos + length):
-                del bound[v]
-                return True
-            del bound[v]
-        return False
-
-    return walk(0, lo)
-
-
 def _closes_occurrence(chars: list[int], end: int, syms: tuple[int, ...],
                        m: int, kind: CountKind) -> bool:
     """Does some occurrence of the pattern end exactly at index `end`?"""
-    k = len(syms)
-    for lo in range(end - k + 2):
-        if _segment_matches(chars, lo, end + 1, syms, m, kind):
-            return True
-    return False
+    return bool(_walker(kind, m, syms)(chars, end + 1))
 
 
 def _wrap(chars: list[int], m: int, kind: CountKind) -> Word | PartialWord:
@@ -186,7 +113,8 @@ def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,
     status = dfs(0, 0)
     if status is SearchStatus.FOUND:
         witness = _wrap(chars, m, kind)
-        assert count(kind, witness, p) == 0, "witness failed oracle re-verification"
+        if count(kind, witness, p) != 0:
+            raise RuntimeError("witness failed oracle re-verification")
         return SearchOutcome(SearchStatus.FOUND, witness, nodes)
     return SearchOutcome(status, None, nodes)
 

@@ -10,11 +10,16 @@ multiplicity compute that multiplicity's factor once.  The series come from
 one integer recurrence for N/D (the bivariate one packed at u = 2^s) instead
 of products of truncated series; the product form, with each geometric factor
 written out term by term as the genfunc docstring derives it, is the reference.
+The oracle's three walkers and the search's segment matcher became one
+occurrence kernel with slice-free block checks and the length equation, and
+totals walk only the words whose first letter is 0; the replaced walkers are
+the reference, and the search outcomes they produced are pinned.
 """
 
 import math
 import operator
-from itertools import islice
+import random
+from itertools import islice, product
 
 import pytest
 
@@ -25,8 +30,10 @@ from patstats.bounds import (DEFAULT_DIGIT_CAP, _reaches_cap, avoidance_threshol
 from patstats.errors import ToleranceError
 from patstats.genfunc import (_mps_table, _mps_terms, multinomial_power_sum_enum,
                               ogf_bivariate, ogf_build)
-from patstats.oracle import CountKind
-from patstats.words import Pattern, signature
+from patstats import oracle
+from patstats.oracle import PARTIAL_KINDS, CountKind, _iter_chars, _walker, total_count
+from patstats.search import _closes_occurrence, exact_ramsey_length, find_avoiding
+from patstats.words import HOLE, Pattern, signature
 
 
 # --- the digit-cap decision -----------------------------------------------------
@@ -282,3 +289,302 @@ def test_exact_threshold_matches_product_form(kind, text, m):
     base = m + 1 if kind is CountKind.PARTIAL_COLLAPSED else m
     expected = next((n - 1 for n in range(1, n_max + 1) if totals[n] >= base ** n), n_max)
     assert exact_avoidance_threshold(kind, p, m, n_max) == expected
+
+
+# --- the occurrence kernel ------------------------------------------------------
+
+def _merge(overlay, block):
+    """Superpose a new block of the same variable; None on a letter conflict."""
+    out = []
+    for a, b in zip(overlay, block):
+        if a == HOLE:
+            out.append(b)
+        elif b == HOLE or b == a:
+            out.append(a)
+        else:
+            return None
+    return tuple(out)
+
+
+def _count_full_raw(letters, syms):
+    n = len(letters)
+    k = len(syms)
+    bound = {}
+
+    def walk(idx, pos):
+        if idx == k:
+            return 1
+        v = syms[idx]
+        rest = k - idx - 1
+        piece = bound.get(v)
+        if piece is not None:
+            end = pos + len(piece)
+            if end + rest > n or letters[pos:end] != piece:
+                return 0
+            return walk(idx + 1, end)
+        total = 0
+        for length in range(1, n - pos - rest + 1):
+            bound[v] = letters[pos:pos + length]
+            total += walk(idx + 1, pos + length)
+        bound.pop(v, None)
+        return total
+
+    return sum(walk(0, start) for start in range(n))
+
+
+def _count_abelian_raw(letters, m, syms):
+    n = len(letters)
+    k = len(syms)
+    bound = {}  # per variable: (block length, letter histogram)
+
+    def hist(lo, hi):
+        h = [0] * m
+        for c in letters[lo:hi]:
+            h[c] += 1
+        return tuple(h)
+
+    def walk(idx, pos):
+        if idx == k:
+            return 1
+        v = syms[idx]
+        rest = k - idx - 1
+        entry = bound.get(v)
+        if entry is not None:
+            length, h = entry
+            end = pos + length
+            if end + rest > n or hist(pos, end) != h:
+                return 0
+            return walk(idx + 1, end)
+        total = 0
+        for length in range(1, n - pos - rest + 1):
+            bound[v] = (length, hist(pos, pos + length))
+            total += walk(idx + 1, pos + length)
+        bound.pop(v, None)
+        return total
+
+    return sum(walk(0, start) for start in range(n))
+
+
+def _count_partial_raw(chars, m, syms, collapsed):
+    n = len(chars)
+    k = len(syms)
+    bound = {}
+
+    def weight():
+        if collapsed:
+            return 1
+        w = 1
+        for overlay in bound.values():
+            w *= m ** overlay.count(HOLE)
+        return w
+
+    def walk(idx, pos):
+        if idx == k:
+            return weight()
+        v = syms[idx]
+        rest = k - idx - 1
+        overlay = bound.get(v)
+        if overlay is not None:
+            end = pos + len(overlay)
+            if end + rest > n:
+                return 0
+            merged = _merge(overlay, chars[pos:end])
+            if merged is None:
+                return 0
+            bound[v] = merged
+            total = walk(idx + 1, end)
+            bound[v] = overlay
+            return total
+        total = 0
+        for length in range(1, n - pos - rest + 1):
+            bound[v] = chars[pos:pos + length]
+            total += walk(idx + 1, pos + length)
+        bound.pop(v, None)
+        return total
+
+    return sum(walk(0, start) for start in range(n))
+
+
+def _segment_matches(chars, lo, hi, syms, m, kind):
+    """Can chars[lo:hi] be composed into |p| nonempty blocks consistent for `kind`?"""
+    k = len(syms)
+    abelian = kind is CountKind.ABELIAN
+    partial = kind in PARTIAL_KINDS
+    bound = {}
+
+    def hist(a, b):
+        h = [0] * m
+        for c in chars[a:b]:
+            h[c] += 1
+        return tuple(h)
+
+    def walk(idx, pos):
+        if idx == k:
+            return pos == hi
+        v = syms[idx]
+        rest = k - idx - 1
+        entry = bound.get(v)
+        if entry is not None:
+            if abelian:
+                length, h = entry
+                end = pos + length
+                if end + rest > hi:
+                    return False
+                return hist(pos, end) == h and walk(idx + 1, end)
+            end = pos + len(entry)
+            if end + rest > hi:
+                return False
+            if partial:
+                merged = _merge(entry, tuple(chars[pos:end]))
+                if merged is None:
+                    return False
+                bound[v] = merged
+                ok = walk(idx + 1, end)
+                bound[v] = entry
+                return ok
+            if tuple(chars[pos:end]) != entry:
+                return False
+            return walk(idx + 1, end)
+        for length in range(1, hi - pos - rest + 1):
+            block = tuple(chars[pos:pos + length])
+            bound[v] = (length, hist(pos, pos + length)) if abelian else block
+            if walk(idx + 1, pos + length):
+                del bound[v]
+                return True
+            del bound[v]
+        return False
+
+    return walk(0, lo)
+
+
+def _reference_count(kind, chars, m, syms):
+    if kind is CountKind.FULL:
+        return _count_full_raw(chars, syms)
+    if kind is CountKind.ABELIAN:
+        return _count_abelian_raw(chars, m, syms)
+    return _count_partial_raw(chars, m, syms, kind is CountKind.PARTIAL_COLLAPSED)
+
+
+def _reference_closes(chars, end, syms, m, kind):
+    return any(_segment_matches(chars, lo, end + 1, syms, m, kind)
+               for lo in range(end - len(syms) + 2))
+
+
+KERNEL_PATTERNS = ["a", "aa", "ab", "aba", "aab", "abab", "abba", "aabb", "abcab"]
+
+
+@pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("text", KERNEL_PATTERNS)
+def test_kernel_matches_replaced_walkers_on_short_words(kind, text):
+    # closes(w, e) reads only w[:e + 1], and the grid holds every prefix of its
+    # words, so checking the last position of each word checks every position.
+    # Over four characters (m = 3 with holes) the words stop at length 6.
+    syms = Pattern.from_text(text).symbols
+    for m in (1, 2, 3):
+        occurrences = _walker(kind, m, syms)
+        alphabet = list(range(m)) + ([HOLE] if kind in PARTIAL_KINDS else [])
+        for n in range(1, 8 if len(alphabet) < 4 else 7):
+            for chars in product(alphabet, repeat=n):
+                assert occurrences(chars) == _reference_count(kind, chars, m, syms), chars
+                assert _closes_occurrence(list(chars), n - 1, syms, m, kind) == \
+                    _reference_closes(chars, n - 1, syms, m, kind), chars
+
+
+LONG_WORDS = [(CountKind.FULL, 100), (CountKind.ABELIAN, 70)]
+
+
+@pytest.mark.parametrize("kind, length", LONG_WORDS, ids=["full-100", "abelian-70"])
+@pytest.mark.parametrize("text", [t for t in KERNEL_PATTERNS if len(set(t)) <= 2])
+def test_kernel_matches_replaced_walkers_on_long_words(kind, length, text):
+    # abcab is left to the short words: its reference walk is quartic in the length
+    syms = Pattern.from_text(text).symbols
+    rng = random.Random(f"{kind.value} {text}")
+    chars = tuple(rng.randrange(2) for _ in range(length))
+    assert _walker(kind, 2, syms)(chars) == _reference_count(kind, chars, 2, syms)
+
+
+@pytest.mark.parametrize("kind, length, text", [(CountKind.FULL, 100, "abab"),
+                                                (CountKind.ABELIAN, 70, "aba")],
+                         ids=["full-100-abab", "abelian-70-aba"])
+def test_closes_occurrence_matches_replaced_matcher_at_every_end(kind, length, text):
+    syms = Pattern.from_text(text).symbols
+    rng = random.Random(f"{kind.value} {text}")
+    chars = [rng.randrange(2) for _ in range(length)]
+    for end in range(length):
+        assert _closes_occurrence(chars, end, syms, 2, kind) == \
+            _reference_closes(chars, end, syms, 2, kind), end
+
+
+@pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("text", ["aba", "abba"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_symmetric_total_matches_unreduced_sum(kind, text, m):
+    n = 5
+    syms = Pattern.from_text(text).symbols
+    for holes in [None] + (list(range(n + 1)) if kind in PARTIAL_KINDS else []):
+        expected = sum(_reference_count(kind, chars, m, syms)
+                       for chars in _iter_chars(kind, n, m, holes, ()))
+        for workers in (1, 2, 3):
+            assert total_count(kind, n, m, Pattern(syms), holes=holes,
+                               workers=workers) == expected, (holes, workers)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("kind, holes, units", [
+    (CountKind.FULL, None, 2),  # (0, 0), (0, 1)
+    (CountKind.PARTIAL_COLLAPSED, None, 10),  # 0 to 3 leading holes, 0, one more character
+    (CountKind.PARTIAL_MORPHISM, 1, 6),  # at most one leading hole
+])
+def test_worker_pool_is_capped_at_the_work_units(monkeypatch, kind, holes, units):
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    p = Pattern.from_text("aba")
+    expected = total_count(kind, 4, 2, p, holes=holes)
+    assert total_count(kind, 4, 2, p, holes=holes, workers=5000) == expected
+    assert _InlinePool.sizes == [units]
+
+
+# Outcomes of the benchmark's search questions, pinned to what the replaced
+# walker produced: (kind, pattern, m, length, holes) -> (status, witness, nodes)
+SEARCH_PINS = {
+    ("full", "abab", 3, 50, None):
+        ("found", "aaabaaacaaabaacaaacbaaabaacaaabaaacaaabbaaabaacaaa", 73),
+    ("full", "abab", 3, 40, None): ("found", "aaabaaacaaabaacaaacbaaabaacaaabaaacaaabb", 60),
+    ("full", "aa", 3, 40, None): ("found", "abacabcacbabcabacabcacbacabacbabcabacabc", 82),
+    ("abelian", "aa", 4, 30, None): ("found", "abacabadabacbabdbabcbdcacbabda", 82),
+    ("partial-collapsed", "aa", 3, 14, 1): ("exhausted", None, 1411),
+}
+RAMSEY_PINS = {("full", "aba", 2, 10): 5, ("full", "aba", 3, 12): 7,
+               ("abelian", "aa", 3, 12): 8, ("full", "abab", 2, 25): 19}
+
+
+@pytest.mark.parametrize("question", sorted(SEARCH_PINS, key=str), ids=str)
+def test_search_outcome_pinned(question):
+    kind, text, m, length, holes = question
+    outcome = find_avoiding(CountKind(kind), Pattern.from_text(text), m, length, holes=holes)
+    witness = None if outcome.witness is None else outcome.witness.to_text()
+    assert (outcome.status.value, witness, outcome.nodes) == SEARCH_PINS[question]
+
+
+@pytest.mark.parametrize("question", sorted(RAMSEY_PINS), ids=str)
+def test_exact_ramsey_length_pinned(question):
+    kind, text, m, n_max = question
+    assert exact_ramsey_length(CountKind(kind), Pattern.from_text(text), m, n_max) == \
+        RAMSEY_PINS[question]

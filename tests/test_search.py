@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from patstats import search
 from patstats.errors import BudgetExceededError
 from patstats.oracle import CountKind, count, count_abelian, count_full
 from patstats.search import (SearchBudget, SearchStatus, exact_ramsey_length,
@@ -195,3 +196,10 @@ def test_pruning_checker_agrees_with_oracle_on_partial_words(case, p, kind):
     closed = any(_closes_occurrence(chars, end, p.symbols, m, kind)
                  for end in range(len(chars)))
     assert closed == (count(kind, w, p) >= 1)
+
+
+def test_witness_check_survives_stripped_asserts(monkeypatch):
+    # a plain assert would vanish under python -O; the check must raise anyway
+    monkeypatch.setattr(search, "count", lambda kind, w, p: 1)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        find_avoiding(FULL, P("aa"), 2, 2)
