@@ -2,18 +2,21 @@
 """Before/after timings of the oracle totals, the avoidance search, the series
 builders, the bound calculators and the abelian constant.
 
-Each row times one call with time.perf_counter, best of REPEAT runs (one run
-for the oracle totals, which take seconds to minutes), with every functools
-cache of the library emptied before each run so a run costs what a fresh
-script pays.  A row records its inputs, a hash of the result (so the two sides
-can be seen to give the same answer) and a work counter.
+A measurement pass times each row's call once with time.perf_counter, with
+every functools cache of the library emptied before the call so it costs what
+a fresh script pays.  A row keeps its fastest time over REPEAT passes; the
+oracle totals, which take seconds to minutes, run in the first pass only.  A
+row records its inputs, a hash of the result (so the two sides can be seen to
+give the same answer) and a work counter.
 
     python scripts/bench.py                        # rows for the library on sys.path
     python scripts/bench.py --before OLD --after NEW --out BENCH.json
 
-OLD and NEW are checkouts of this repository; each side runs in its own
-interpreter with that checkout's src/ on PYTHONPATH, and the comparison adds
-the wall time of each checkout's tier-1 test command.
+OLD and NEW are checkouts of this repository; each pass of each side runs in
+its own interpreter with that checkout's src/ on PYTHONPATH.  Each pass runs
+the two sides back to back, and which side goes first alternates from pass to
+pass, so drift of the host's speed falls on both sides alike.  The comparison
+adds the wall time of each checkout's tier-1 test command.
 """
 
 import argparse
@@ -79,52 +82,53 @@ def _clear_caches() -> None:
     gc.collect()
 
 
-def _best(call, repeat=REPEAT):
-    best = None
-    for _ in range(repeat):
-        _clear_caches()
-        start = time.perf_counter()
-        result = call()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return result, best
+def _timed(call):
+    _clear_caches()
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
 
 
 def _search_nodes(call) -> int:
-    """Nodes a search visits: each node asks once whether it closes an occurrence."""
+    """Nodes a search visits: each node calls the occurrence kernel once."""
     from patstats import search
-    inner = search._closes_occurrence
+    build = search._walker
     nodes = 0
 
-    def counted(*args):
-        nonlocal nodes
-        nodes += 1
-        return inner(*args)
+    def counted_build(*args):
+        occurrences = build(*args)
 
-    search._closes_occurrence = counted
+        def counted(*call_args):
+            nonlocal nodes
+            nodes += 1
+            return occurrences(*call_args)
+        return counted
+
+    search._walker = counted_build
     try:
         call()
     finally:
-        search._closes_occurrence = inner
+        search._walker = build
     return nodes
 
 
-def measure() -> list[dict]:
+def measure(totals: bool = True) -> list[dict]:
+    """One measurement pass, each row timed once; the oracle totals only if `totals`."""
     from patstats import asymptotics, bounds, cli, genfunc, oracle, search
     from patstats.oracle import CountKind
     from patstats.words import Pattern
 
     rows = []
-    for kind, text, n, m in TOTALS:
-        total, secs = _best(lambda: oracle.total_count(CountKind[kind], n, m,
-                                                       Pattern.from_text(text)), repeat=1)
+    for kind, text, n, m in TOTALS if totals else ():
+        total, secs = _timed(lambda: oracle.total_count(CountKind[kind], n, m,
+                                                        Pattern.from_text(text)))
         rows.append({"name": f"total_count({kind}, {text!r}, n={n}, m={m})", "layer": "oracle",
                      "result_sha256": _digest(format(total, "x")),
                      "work": {"words": oracle.population_size(CountKind[kind], n, m)},
                      "seconds": secs})
     kind, text, m, length = FIND
-    outcome, secs = _best(lambda: search.find_avoiding(CountKind[kind], Pattern.from_text(text),
-                                                       m, length))
+    outcome, secs = _timed(lambda: search.find_avoiding(CountKind[kind], Pattern.from_text(text),
+                                                        m, length))
     witness = None if outcome.witness is None else outcome.witness.to_text()
     rows.append({"name": f"find_avoiding({kind}, {text!r}, {m}, {length})", "layer": "search",
                  "result_sha256": _digest(f"{outcome.status.value} {witness}"),
@@ -133,40 +137,40 @@ def measure() -> list[dict]:
 
     def ramsey():
         return search.exact_ramsey_length(CountKind[kind], Pattern.from_text(text), m, n_max)
-    value, secs = _best(ramsey)
+    value, secs = _timed(ramsey)
     rows.append({"name": f"exact_ramsey_length({kind}, {text!r}, {m}, {n_max})",
                  "layer": "search", "result_sha256": _digest(str(value)),
                  "work": {"nodes": _search_nodes(ramsey)}, "seconds": secs})
     for kind, text, m, order in SERIES:
         p = Pattern.from_text(text)
         if kind is None:
-            series, secs = _best(lambda: genfunc.ogf_bivariate(p, m, order))
+            series, secs = _timed(lambda: genfunc.ogf_bivariate(p, m, order))
             coeffs = [series.coeff_hole(n, h) for n in range(order + 1) for h in range(n + 1)]
             name = f"ogf_bivariate({text!r}, {m}, {order})"
         else:
-            series, secs = _best(lambda: genfunc.ogf_build(CountKind[kind], p, m, order))
+            series, secs = _timed(lambda: genfunc.ogf_build(CountKind[kind], p, m, order))
             coeffs = [series.coeff(n) for n in range(order + 1)]
             name = f"ogf_build({kind}, {text!r}, {m}, {order})"
         rows.append(_series_row(name, coeffs, order, secs))
     kind, text, m, n_max = THRESHOLD
-    threshold, secs = _best(lambda: bounds.exact_avoidance_threshold(
+    threshold, secs = _timed(lambda: bounds.exact_avoidance_threshold(
         CountKind[kind], Pattern.from_text(text), m, n_max))
     rows.append(_series_row(f"exact_avoidance_threshold({kind}, {text!r}, {m}, {n_max})",
                             [threshold], n_max, secs))
     for x, y in UPARROW:
         rows.append(_bound_row(f"double_uparrow({x}, {y})",
-                               *_best(lambda: bounds.double_uparrow(x, y))))
+                               *_timed(lambda: bounds.double_uparrow(x, y))))
     for m, i in ZIMIN_UPPER:
         rows.append(_bound_row(f"zimin_upper({m}, {i})",
-                               *_best(lambda: bounds.zimin_upper(m, i))))
+                               *_timed(lambda: bounds.zimin_upper(m, i))))
     for m, k, eps in ABELIAN:
-        const, secs = _best(lambda: asymptotics.abelian_constant(m, k, eps))
+        const, secs = _timed(lambda: asymptotics.abelian_constant(m, k, eps))
         digest = _digest(f"{const.value.hex()} {const.terms} {const.tail_bound.hex()}")
         rows.append({"name": f"abelian_constant({m}, {k}, {eps!r})", "layer": "asymptotics",
                      "result_sha256": digest, "work": {"terms": const.terms},
                      "seconds": secs})
     for text, m, n, eps in ABELIAN_MEANS:
-        mean, secs = _best(lambda: asymptotics.mean_asymptotic(
+        mean, secs = _timed(lambda: asymptotics.mean_asymptotic(
             asymptotics.MeanKind.ABELIAN, Pattern.from_text(text), m, n, eps=eps))
         rows.append({"name": f"mean_asymptotic(ABELIAN, {text!r}, {m}, {n}, eps={eps!r})",
                      "layer": "asymptotics", "result_sha256": _digest(mean.value.hex()),
@@ -179,29 +183,50 @@ def measure() -> list[dict]:
             code = cli.main(README_COMMAND)
         return code, json.loads(out.getvalue())["result"]
 
-    (code, result), secs = _best(readme_command)
+    (code, result), secs = _timed(readme_command)
     rows.append({"name": "patstats " + " ".join(README_COMMAND), "layer": "end-to-end",
                  "result_sha256": _digest(f"{code} {result}"), "work": {"exit": code},
                  "seconds": secs})
     return rows
 
 
-def _side(tree: str) -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__)],
-                         env=env, cwd=tree, check=True, capture_output=True, text=True)
-    rows = json.loads(out.stdout)
+def _fastest(passes: list[list[dict]]) -> list[dict]:
+    """Each row's fastest run over the passes, in first-pass order."""
+    best = {}
+    for row in (row for rows in passes for row in rows):
+        if row["name"] not in best or row["seconds"] < best[row["name"]]["seconds"]:
+            best[row["name"]] = row
+    return list(best.values())
+
+
+def _env(tree: str) -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+
+
+def _pass(tree: str, totals: bool) -> list[dict]:
+    code = (f"import json, runpy; measure = runpy.run_path({os.path.abspath(__file__)!r})"
+            f"['measure']; print(json.dumps(measure({totals})))")
+    out = subprocess.run([sys.executable, "-c", code], env=_env(tree), cwd=tree,
+                         check=True, capture_output=True, text=True)
+    return json.loads(out.stdout)
+
+
+def _tier1(tree: str) -> dict:
     start = time.perf_counter()
-    run = subprocess.run(TIER1, env=env, cwd=tree, capture_output=True, text=True)
+    run = subprocess.run(TIER1, env=_env(tree), cwd=tree, capture_output=True, text=True)
     secs = time.perf_counter() - start
     summary = run.stdout.strip().splitlines()[-1] if run.stdout.strip() else ""
-    rows.append({"name": "tier-1 suite", "layer": "end-to-end",
-                 "result_sha256": None, "work": {"summary": summary}, "seconds": secs})
-    return rows
+    return {"name": "tier-1 suite", "layer": "end-to-end",
+            "result_sha256": None, "work": {"summary": summary}, "seconds": secs}
 
 
 def compare(before: str, after: str) -> dict:
-    old, new = _side(before), _side(after)
+    trees = (before, after)
+    passes = ([], [])
+    for i in range(REPEAT):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            passes[side].append(_pass(trees[side], totals=i == 0))
+    old, new = (_fastest(passes[side]) + [_tier1(trees[side])] for side in (0, 1))
     rows = []
     for a, b in zip(old, new):
         assert a["name"] == b["name"]
@@ -211,7 +236,9 @@ def compare(before: str, after: str) -> dict:
                      "before": {k: a[k] for k in ("result_sha256", "work", "seconds")},
                      "after": {k: b[k] for k in ("result_sha256", "work", "seconds")},
                      "speedup": a["seconds"] / b["seconds"]})
-    return {"method": f"time.perf_counter, best of {REPEAT} (the oracle totals: one run),"
+    return {"method": f"time.perf_counter, fastest of {REPEAT} passes per side (the oracle"
+                      " totals: first pass only), each row timed once per pass, the two sides"
+                      " back to back in each pass with the first side alternating,"
                       " caches emptied before each run; the tier-1 suite runs once per side",
             "machine": {"python": platform.python_version(), "platform": platform.platform(),
                         "nproc": os.cpu_count()},
@@ -227,7 +254,10 @@ def main() -> None:
     args = ap.parse_args()
     if bool(args.before) != bool(args.after):
         ap.error("--before and --after go together")
-    report = compare(args.before, args.after) if args.before else measure()
+    if args.before:
+        report = compare(args.before, args.after)
+    else:
+        report = _fastest([measure(totals=i == 0) for i in range(REPEAT)])
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as fh:

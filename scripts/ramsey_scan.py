@@ -17,13 +17,16 @@ from patstats.search import SearchStatus, exact_ramsey_length, find_avoiding
 from patstats.words import Pattern
 
 
-def longest_found(p: Pattern, m: int, n_max: int) -> int:
-    best = 0
-    for n in range(1, n_max + 1):
-        if find_avoiding(CountKind.FULL, p, m, n).status is not SearchStatus.FOUND:
-            break
-        best = n
-    return best
+def longest_found(p: Pattern, m: int, forcing: int | None, n_max: int) -> int:
+    """The longest avoiding length up to n_max, certified by one witness search.
+
+    Avoidance is closed under taking prefixes, so the longest avoiding word is
+    one shorter than the forcing length, or n_max long when there is none.
+    """
+    n = n_max if forcing is None else forcing - 1
+    if n and find_avoiding(CountKind.FULL, p, m, n).status is not SearchStatus.FOUND:
+        raise RuntimeError(f"no {p.to_text()}-avoiding word of length {n} over {m} letters")
+    return n
 
 
 def main() -> None:
@@ -40,8 +43,8 @@ def main() -> None:
         for m in args.alphabets:
             heuristic = avoidance_threshold(MeanKind.FULL, p, m)
             exact_thr = exact_avoidance_threshold(CountKind.FULL, p, m, args.n_max)
-            found = longest_found(p, m, args.n_max)
             forcing = exact_ramsey_length(CountKind.FULL, p, m, args.n_max)
+            found = longest_found(p, m, forcing, args.n_max)
             forcing_txt = str(forcing) if forcing is not None else f">{args.n_max}"
             print(f"{text:>8} {m:>3} {heuristic:>10.3f} {exact_thr:>10} "
                   f"{found:>10} {forcing_txt:>10}")

@@ -338,9 +338,6 @@ def main(argv=None) -> int:
                              "bundled reference values vs recomputed values")
             _emit(record, args.format, args.output)
             return 0 if all(r["ok"] for r in rows) else 2
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,16 +1,16 @@
 """Backtracking search for avoiding words and exact forcing lengths at desk scale.
 
-The search extends a word one character at a time and prunes as soon as the
-newly completed position closes an occurrence of the pattern, so only suffix
-factors ending at the last position are ever rechecked; that check is the
-oracle's occurrence kernel in exists mode.  Found witnesses are re-verified
-against the oracle's count before being returned.
+One depth-first search serves both answers.  It extends a word one character
+at a time and prunes as soon as the newly completed position closes an
+occurrence of the pattern, so only suffix factors ending at the last position
+are ever rechecked; that check is the oracle's occurrence kernel in exists
+mode, built once per search.  Found witnesses are re-verified against the
+oracle's count before being returned.
 """
 
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -21,7 +21,6 @@ from .words import HOLE, Pattern, PartialWord, Word
 @dataclass(frozen=True)
 class SearchBudget:
     max_nodes: int = 2_000_000
-    wall_clock_hint_s: float | None = None
 
     def __post_init__(self):
         if self.max_nodes < 1:
@@ -41,16 +40,50 @@ class SearchOutcome:
     nodes: int
 
 
-def _closes_occurrence(chars: list[int], end: int, syms: tuple[int, ...],
-                       m: int, kind: CountKind) -> bool:
-    """Does some occurrence of the pattern end exactly at index `end`?"""
-    return bool(_walker(kind, m, syms)(chars, end + 1))
+def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
+            holes: int | None, max_nodes: int
+            ) -> tuple[SearchStatus, list[int], int, int]:
+    """Depth-first search for a length-`length` word avoiding syms under `kind`.
 
+    Returns (status, chars, nodes, deepest): chars is the witness when FOUND,
+    nodes counts the characters tried, the one past the budget included, and
+    deepest is the length of the longest avoiding prefix reached.
+    """
+    occurrences = _walker(kind, m, syms)
+    partial = kind in PARTIAL_KINDS
+    chars: list[int] = []
+    nodes = deepest = 0
 
-def _wrap(chars: list[int], m: int, kind: CountKind) -> Word | PartialWord:
-    if kind in PARTIAL_KINDS:
-        return PartialWord(tuple(chars), m)
-    return Word(tuple(chars), m)
+    def candidates(depth: int, used_holes: int) -> list[int]:
+        letters = [0] if depth == 0 else list(range(m))
+        if not partial:
+            return letters
+        remaining = length - depth
+        want_hole = holes is None or used_holes < holes
+        # with an exact budget every leftover position may still need a hole
+        must_hole = holes is not None and holes - used_holes >= remaining
+        if must_hole:
+            return [HOLE]
+        return letters + ([HOLE] if want_hole else [])
+
+    def dfs(depth: int, used_holes: int) -> SearchStatus:
+        nonlocal nodes, deepest
+        if depth == length:
+            return SearchStatus.FOUND
+        for c in candidates(depth, used_holes):
+            nodes += 1
+            if nodes > max_nodes:
+                return SearchStatus.BUDGET_EXCEEDED
+            chars.append(c)
+            if not occurrences(chars, depth + 1):
+                deepest = max(deepest, depth + 1)
+                status = dfs(depth + 1, used_holes + (c == HOLE))
+                if status is not SearchStatus.EXHAUSTED:
+                    return status
+            chars.pop()
+        return SearchStatus.EXHAUSTED
+
+    return dfs(0, 0), chars, nodes, deepest
 
 
 def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,
@@ -71,48 +104,9 @@ def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,
         if not 0 <= holes <= length:
             raise ValueError("holes must lie in [0, length]")
     budget = budget or SearchBudget()
-    partial = kind in PARTIAL_KINDS
-    syms = p.symbols
-    chars: list[int] = []
-    nodes = 0
-    started = time.monotonic()
-
-    def out_of_time() -> bool:
-        return (budget.wall_clock_hint_s is not None
-                and nodes % 4096 == 0
-                and time.monotonic() - started > budget.wall_clock_hint_s)
-
-    def candidates(depth: int, used_holes: int) -> list[int]:
-        letters = [0] if depth == 0 else list(range(m))
-        if not partial:
-            return letters
-        remaining = length - depth
-        want_hole = holes is None or used_holes < holes
-        # with an exact budget every leftover position may still need a hole
-        must_hole = holes is not None and holes - used_holes >= remaining
-        if must_hole:
-            return [HOLE]
-        return letters + ([HOLE] if want_hole else [])
-
-    def dfs(depth: int, used_holes: int) -> SearchStatus:
-        nonlocal nodes
-        if depth == length:
-            return SearchStatus.FOUND
-        for c in candidates(depth, used_holes):
-            nodes += 1
-            if nodes > budget.max_nodes or out_of_time():
-                return SearchStatus.BUDGET_EXCEEDED
-            chars.append(c)
-            if not _closes_occurrence(chars, depth, syms, m, kind):
-                status = dfs(depth + 1, used_holes + (c == HOLE))
-                if status is not SearchStatus.EXHAUSTED:
-                    return status
-            chars.pop()
-        return SearchStatus.EXHAUSTED
-
-    status = dfs(0, 0)
+    status, chars, nodes, _ = _search(kind, p.symbols, m, length, holes, budget.max_nodes)
     if status is SearchStatus.FOUND:
-        witness = _wrap(chars, m, kind)
+        witness = (PartialWord if kind in PARTIAL_KINDS else Word)(tuple(chars), m)
         if count(kind, witness, p) != 0:
             raise RuntimeError("witness failed oracle re-verification")
         return SearchOutcome(SearchStatus.FOUND, witness, nodes)
@@ -133,30 +127,11 @@ def exact_ramsey_length(kind: CountKind, p: Pattern, m: int, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     budget = budget or SearchBudget()
-    syms = p.symbols
-    chars: list[int] = []
-    nodes = 0
-    deepest = 0
-
-    def dfs(depth: int) -> bool:
-        """True when an avoiding word of length n_max was reached."""
-        nonlocal nodes, deepest
-        if depth == n_max:
-            return True
-        for c in ([0] if depth == 0 else range(m)):
-            nodes += 1
-            if nodes > budget.max_nodes:
-                raise BudgetExceededError(
-                    f"forcing-length search exceeded {budget.max_nodes} nodes",
-                    needed=nodes, budget=budget.max_nodes)
-            chars.append(c)
-            if not _closes_occurrence(chars, depth, syms, m, kind):
-                deepest = max(deepest, depth + 1)
-                if dfs(depth + 1):
-                    return True
-            chars.pop()
-        return False
-
-    if dfs(0):
+    status, _, nodes, deepest = _search(kind, p.symbols, m, n_max, None, budget.max_nodes)
+    if status is SearchStatus.BUDGET_EXCEEDED:
+        raise BudgetExceededError(
+            f"forcing-length search exceeded {budget.max_nodes} nodes",
+            needed=nodes, budget=budget.max_nodes)
+    if status is SearchStatus.FOUND:
         return None
     return deepest + 1

@@ -32,7 +32,7 @@ from patstats.genfunc import (_mps_table, _mps_terms, multinomial_power_sum_enum
                               ogf_bivariate, ogf_build)
 from patstats import oracle
 from patstats.oracle import PARTIAL_KINDS, CountKind, _iter_chars, _walker, total_count
-from patstats.search import _closes_occurrence, exact_ramsey_length, find_avoiding
+from patstats.search import exact_ramsey_length, find_avoiding
 from patstats.words import HOLE, Pattern, signature
 
 
@@ -486,7 +486,7 @@ def test_kernel_matches_replaced_walkers_on_short_words(kind, text):
         for n in range(1, 8 if len(alphabet) < 4 else 7):
             for chars in product(alphabet, repeat=n):
                 assert occurrences(chars) == _reference_count(kind, chars, m, syms), chars
-                assert _closes_occurrence(list(chars), n - 1, syms, m, kind) == \
+                assert occurrences(list(chars), n) == \
                     _reference_closes(chars, n - 1, syms, m, kind), chars
 
 
@@ -511,7 +511,7 @@ def test_closes_occurrence_matches_replaced_matcher_at_every_end(kind, length, t
     rng = random.Random(f"{kind.value} {text}")
     chars = [rng.randrange(2) for _ in range(length)]
     for end in range(length):
-        assert _closes_occurrence(chars, end, syms, 2, kind) == \
+        assert _walker(kind, 2, syms)(chars, end + 1) == \
             _reference_closes(chars, end, syms, 2, kind), end
 
 

@@ -48,6 +48,7 @@ def test_exhaustion_is_complete_at_desk_scale():
 def test_budget_exceeded_outcome():
     outcome = find_avoiding(FULL, P("aba"), 2, 4, budget=SearchBudget(max_nodes=2))
     assert outcome.status is SearchStatus.BUDGET_EXCEEDED
+    assert outcome.nodes == 3
 
 
 def test_found_witnesses_verify_for_all_kinds():
@@ -117,8 +118,9 @@ def test_ramsey_not_found_below():
 
 
 def test_ramsey_budget_error_is_distinct():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as err:
         exact_ramsey_length(FULL, P("aba"), 2, 10, budget=SearchBudget(max_nodes=3))
+    assert (err.value.needed, err.value.budget) == (4, 3)
 
 
 def test_ramsey_rejects_partial_kinds():
@@ -161,7 +163,7 @@ def test_partial_witness_with_unconstrained_holes():
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from patstats.search import _closes_occurrence  # noqa: E402
+from patstats.oracle import _walker  # noqa: E402
 
 CHECK_PATTERNS = [P(t) for t in ("a", "aa", "ab", "aba", "aab", "abab", "abba")]
 
@@ -182,7 +184,7 @@ def test_pruning_checker_agrees_with_oracle_on_full_words(case, p, kind):
     # negative here would make EXHAUSTED outcomes unsound
     chars, m = case
     w = Word(tuple(chars), m)
-    closed = any(_closes_occurrence(chars, end, p.symbols, m, kind)
+    closed = any(_walker(kind, m, p.symbols)(chars, end + 1)
                  for end in range(len(chars)))
     assert closed == (count(kind, w, p) >= 1)
 
@@ -193,7 +195,7 @@ def test_pruning_checker_agrees_with_oracle_on_full_words(case, p, kind):
 def test_pruning_checker_agrees_with_oracle_on_partial_words(case, p, kind):
     chars, m = case
     w = PartialWord(tuple(chars), m)
-    closed = any(_closes_occurrence(chars, end, p.symbols, m, kind)
+    closed = any(_walker(kind, m, p.symbols)(chars, end + 1)
                  for end in range(len(chars)))
     assert closed == (count(kind, w, p) >= 1)
 
@@ -203,3 +205,26 @@ def test_witness_check_survives_stripped_asserts(monkeypatch):
     monkeypatch.setattr(search, "count", lambda kind, w, p: 1)
     with pytest.raises(RuntimeError, match="re-verification"):
         find_avoiding(FULL, P("aa"), 2, 2)
+
+
+def test_search_builds_the_kernel_once(monkeypatch):
+    # each node asks the kernel once whether it closes an occurrence, and the
+    # kernel is built once per search, not once per node
+    builds, calls = [], []
+
+    def counted_walker(*args):
+        builds.append(args)
+        occurrences = _walker(*args)
+
+        def counted(*call):
+            calls.append(call)
+            return occurrences(*call)
+        return counted
+
+    monkeypatch.setattr(search, "_walker", counted_walker)
+    outcome = find_avoiding(FULL, P("abab"), 3, 40)
+    assert (len(builds), len(calls)) == (1, outcome.nodes) == (1, 60)
+    builds.clear()
+    calls.clear()
+    assert exact_ramsey_length(FULL, P("aba"), 3, 12) == 7
+    assert (len(builds), len(calls)) == (1, 79)
