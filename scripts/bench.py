@@ -2,12 +2,14 @@
 """Before/after timings of the oracle totals, the avoidance search, the series
 builders, the bound calculators and the abelian constant.
 
-A measurement pass times each row's call once with time.perf_counter, with
-every functools cache of the library emptied before the call so it costs what
-a fresh script pays.  A row keeps its fastest time over REPEAT passes; the
-oracle totals, which take seconds to minutes, run in the first pass only.  A
-row records its inputs, a hash of the result (so the two sides can be seen to
-give the same answer) and a work counter.
+A measurement pass times each row's call with time.perf_counter, with every
+functools cache of the library emptied before the call so it costs what a
+fresh script pays.  A call that takes under LOOP_BELOW seconds varies too much
+from one timed run to the next, so such a row is timed as the mean of LOOP
+further calls, the caches emptied before each.  A row keeps its fastest time
+over REPEAT passes; the oracle totals, which take seconds to minutes, run in
+the first pass only.  A row records its inputs, a hash of the result (so the
+two sides can be seen to give the same answer) and a work counter.
 
     python scripts/bench.py                        # rows for the library on sys.path
     python scripts/bench.py --before OLD --after NEW --out BENCH.json
@@ -28,6 +30,7 @@ import io
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import time
@@ -39,13 +42,19 @@ ABELIAN = [(12, 2, 1e-9), (11, 2, 1e-9), (11, 2, 1e-8), (10, 2, 1e-7), (10, 3, 1
 # patterns whose repeated variables share one multiplicity: (pattern, m, n, eps)
 ABELIAN_MEANS = [("aabbcc", 11, 1000, 1e-9)]
 REPEAT = 3
+LOOP, LOOP_BELOW = 10, 0.02  # calls per timed run of a row faster than LOOP_BELOW seconds
 # (kind or None for the bivariate series, pattern, m, order)
 SERIES = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 300), (None, "aba", 2, 60)]
 THRESHOLD = ("FULL", "abab", 3, 2000)  # kind, pattern, m, n_max
 # (kind, pattern, n, m): the oracle totals of the ROADMAP baseline table
 TOTALS = [("FULL", "aba", 16, 2), ("ABELIAN", "aba", 14, 2), ("PARTIAL_COLLAPSED", "aba", 10, 2)]
-FIND = ("FULL", "abab", 3, 40)  # kind, pattern, m, length
+FIND = ("FULL", "abab", 3, 40, None)  # kind, pattern, m, length, holes
 RAMSEY = ("FULL", "aba", 3, 12)  # kind, pattern, m, n_max
+# the occurrence kernel: count mode on fixed binary words (kind, pattern, length),
+# exists mode through the searches (kind, pattern, m, length or n_max, holes)
+KERNEL_COUNTS = [("FULL", "abab", 100), ("ABELIAN", "aba", 70)]
+KERNEL_RAMSEY = ("FULL", "abab", 2, 25)
+KERNEL_FIND = ("PARTIAL_COLLAPSED", "aa", 3, 14, 1)
 README_COMMAND = ["bounds", "uparrow", "-x", "3", "-y", "3"]
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
@@ -83,10 +92,21 @@ def _clear_caches() -> None:
 
 
 def _timed(call):
+    """The result of call and its time, or the mean time of LOOP more calls
+    when it takes under LOOP_BELOW seconds; caches emptied before each call."""
     _clear_caches()
     start = time.perf_counter()
     result = call()
-    return result, time.perf_counter() - start
+    secs = time.perf_counter() - start
+    if secs < LOOP_BELOW:
+        secs = 0.0
+        for _ in range(LOOP):
+            _clear_caches()
+            start = time.perf_counter()
+            call()
+            secs += time.perf_counter() - start
+        secs /= LOOP
+    return result, secs
 
 
 def _search_nodes(call) -> int:
@@ -113,10 +133,10 @@ def _search_nodes(call) -> int:
 
 
 def measure(totals: bool = True) -> list[dict]:
-    """One measurement pass, each row timed once; the oracle totals only if `totals`."""
+    """One measurement pass, each row timed by _timed; the oracle totals only if `totals`."""
     from patstats import asymptotics, bounds, cli, genfunc, oracle, search
     from patstats.oracle import CountKind
-    from patstats.words import Pattern
+    from patstats.words import Pattern, Word
 
     rows = []
     for kind, text, n, m in TOTALS if totals else ():
@@ -126,21 +146,28 @@ def measure(totals: bool = True) -> list[dict]:
                      "result_sha256": _digest(format(total, "x")),
                      "work": {"words": oracle.population_size(CountKind[kind], n, m)},
                      "seconds": secs})
-    kind, text, m, length = FIND
-    outcome, secs = _timed(lambda: search.find_avoiding(CountKind[kind], Pattern.from_text(text),
-                                                        m, length))
-    witness = None if outcome.witness is None else outcome.witness.to_text()
-    rows.append({"name": f"find_avoiding({kind}, {text!r}, {m}, {length})", "layer": "search",
-                 "result_sha256": _digest(f"{outcome.status.value} {witness}"),
-                 "work": {"nodes": outcome.nodes}, "seconds": secs})
-    kind, text, m, n_max = RAMSEY
-
-    def ramsey():
-        return search.exact_ramsey_length(CountKind[kind], Pattern.from_text(text), m, n_max)
-    value, secs = _timed(ramsey)
-    rows.append({"name": f"exact_ramsey_length({kind}, {text!r}, {m}, {n_max})",
-                 "layer": "search", "result_sha256": _digest(str(value)),
-                 "work": {"nodes": _search_nodes(ramsey)}, "seconds": secs})
+    for layer, (kind, text, m, length, holes) in (("search", FIND), ("kernel", KERNEL_FIND)):
+        outcome, secs = _timed(lambda: search.find_avoiding(
+            CountKind[kind], Pattern.from_text(text), m, length, holes=holes))
+        witness = None if outcome.witness is None else outcome.witness.to_text()
+        rows.append({"name": f"find_avoiding({kind}, {text!r}, {m}, {length}"
+                             + (f", holes={holes})" if holes is not None else ")"),
+                     "layer": layer, "result_sha256": _digest(f"{outcome.status.value} {witness}"),
+                     "work": {"nodes": outcome.nodes}, "seconds": secs})
+    for layer, (kind, text, m, n_max) in (("search", RAMSEY), ("kernel", KERNEL_RAMSEY)):
+        def ramsey():
+            return search.exact_ramsey_length(CountKind[kind], Pattern.from_text(text), m, n_max)
+        value, secs = _timed(ramsey)
+        rows.append({"name": f"exact_ramsey_length({kind}, {text!r}, {m}, {n_max})",
+                     "layer": layer, "result_sha256": _digest(str(value)),
+                     "work": {"nodes": _search_nodes(ramsey)}, "seconds": secs})
+    for kind, text, length in KERNEL_COUNTS:
+        rng = random.Random(f"{kind} {text}")
+        word = Word(tuple(rng.randrange(2) for _ in range(length)), 2)
+        total, secs = _timed(lambda: oracle.count(CountKind[kind], word, Pattern.from_text(text)))
+        rows.append({"name": f"count({kind}, {text!r}, {length} letters, m=2)", "layer": "kernel",
+                     "result_sha256": _digest(format(total, "x")),
+                     "work": {"occurrences": total}, "seconds": secs})
     for kind, text, m, order in SERIES:
         p = Pattern.from_text(text)
         if kind is None:
@@ -237,9 +264,11 @@ def compare(before: str, after: str) -> dict:
                      "after": {k: b[k] for k in ("result_sha256", "work", "seconds")},
                      "speedup": a["seconds"] / b["seconds"]})
     return {"method": f"time.perf_counter, fastest of {REPEAT} passes per side (the oracle"
-                      " totals: first pass only), each row timed once per pass, the two sides"
-                      " back to back in each pass with the first side alternating,"
-                      " caches emptied before each run; the tier-1 suite runs once per side",
+                      " totals: first pass only), each row timed once per pass, as the mean of"
+                      f" {LOOP} calls after a first one when that takes under {LOOP_BELOW} s,"
+                      " the two sides back to back in each pass with the first side"
+                      " alternating, caches emptied before each call; the tier-1 suite runs"
+                      " once per side",
             "machine": {"python": platform.python_version(), "platform": platform.platform(),
                         "nproc": os.cpu_count()},
             "rows": rows}

@@ -41,12 +41,13 @@ def main() -> None:
     for text in args.patterns:
         p = Pattern.from_text(text)
         for m in args.alphabets:
-            heuristic = avoidance_threshold(MeanKind.FULL, p, m)
+            # the first-moment heuristic needs two letters; the rest hold at m = 1
+            heuristic = f"{avoidance_threshold(MeanKind.FULL, p, m):.3f}" if m >= 2 else "-"
             exact_thr = exact_avoidance_threshold(CountKind.FULL, p, m, args.n_max)
             forcing = exact_ramsey_length(CountKind.FULL, p, m, args.n_max)
             found = longest_found(p, m, forcing, args.n_max)
             forcing_txt = str(forcing) if forcing is not None else f">{args.n_max}"
-            print(f"{text:>8} {m:>3} {heuristic:>10.3f} {exact_thr:>10} "
+            print(f"{text:>8} {m:>3} {heuristic:>10} {exact_thr:>10} "
                   f"{found:>10} {forcing_txt:>10}")
 
 

@@ -18,7 +18,12 @@ consistency rule between blocks of equal pattern variables:
                      over two letters, pattern "aa" counts 2 vs 1).
 
 All four counts walk one kernel, `_walker`, which also answers the search's
-question whether an occurrence ends at a given position.
+question whether an occurrence ends at a given position.  It skips only the
+block lengths that provably cannot match: a fresh variable followed by a copy
+of an earlier one takes its lengths from the set bits of that block's match
+set, the starts of its copies.  Every occurrence is still found one at a
+time.  The search's question is answered on the reversed prefix with the
+reversed pattern, walked from start 0 alone.
 
 Totals and exact means sum over every word of the requested shape; the budget
 is measured in words of that shape.  A permutation of the letters maps
@@ -38,6 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, combinations, product
+from operator import sub
 from math import comb
 
 from .errors import BudgetExceededError
@@ -56,9 +62,9 @@ class CountKind(enum.Enum):
 PARTIAL_KINDS = (CountKind.PARTIAL_MORPHISM, CountKind.PARTIAL_COLLAPSED)
 
 
-def _conflicts(chars, m: int) -> tuple[list[int], int]:
+def _conflicts(chars, m: int) -> list[int]:
     """Per shift d, the bits i where chars[i] and chars[i + d] are two different
-    letters; and the bits of the holes."""
+    letters."""
     masks = [0] * m
     for i, c in enumerate(chars):
         if c != HOLE:
@@ -72,7 +78,30 @@ def _conflicts(chars, m: int) -> tuple[list[int], int]:
         for x in masks:
             same |= x & (x >> d)
         out.append(defined & (defined >> d) & ~same)
-    return out, ((1 << len(chars)) - 1) & ~defined
+    return out
+
+
+def _plan(syms: tuple[int, ...], kind: CountKind) -> list[tuple]:
+    """Per pattern index: (c, free, after, grow) for a variable's first block,
+    where c counts the variable's blocks, free the later first blocks of other
+    variables, after the first index of the earlier variable whose copy comes
+    right after this block (-1 if none) and grow whether the block's match set
+    is kept; (0, first, others) for a later block, checked against the blocks
+    at those indices."""
+    firsts = [syms.index(v) for v in syms]
+    plan = []
+    for idx, v in enumerate(syms):
+        first = firsts[idx]
+        if first == idx:
+            c = syms.count(v)
+            after = firsts[idx + 1] if idx + 1 < len(syms) else idx
+            plan.append((c, len([f for f in firsts[idx + 1:] if f > idx]),
+                         after if after < idx else -1, c > 1 and kind is not CountKind.ABELIAN))
+        else:
+            others = [j for j in range(first + 1, idx) if syms[j] == v] \
+                if kind in PARTIAL_KINDS else ()
+            plan.append((0, first, others))
+    return plan
 
 
 def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
@@ -82,55 +111,74 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
     occurrences in chars, each PARTIAL_MORPHISM occurrence weighted by m per
     all-hole coordinate.  Exists mode: 1 if some occurrence ends exactly at
     hi, else 0; the two partial conventions agree there, every weight being
-    at least 1.
+    at least 1.  Exists mode walks the reversed prefix chars[:hi][::-1] with
+    the reversed pattern from start 0 only, and stops at the first
+    occurrence: reversing every block maps the occurrences ending at hi onto
+    the occurrences starting at 0, and keeps blocks equal, anagrams or
+    compatible, so it preserves all four rules.
 
-    Blocks of a repeated variable are checked against the variable's earlier
-    blocks without slicing.  ABELIAN compares letter histograms read off
-    prefix sums packed in one int per position (base 2^bits > hi, so no
-    packed count carries).  The other kinds use per-shift conflict masks: two
-    blocks are compatible iff no coordinate holds two different letters,
-    which on a hole-free word means identical, so FULL checks the first block
-    only.  For the partial kinds compatibility with each earlier block is
-    compatibility with their overlay, since consistent blocks agree on every
-    letter they define.
+    Blocks are placed left to right, and a repeated variable's later blocks
+    are checked without slicing.  FULL and the partial kinds keep a match set
+    per first block: the int whose bit q is set iff a copy of the block can
+    start at q.  It is built by shift-and as the block grows, one AND per
+    letter with the positions of that letter (FULL) or of that letter or a
+    hole (partial kinds; a hole in the block admits anything).  A later block
+    is then one bit test: equality on full words, compatibility with the
+    first block on partial words.  A partial variable's third and later
+    blocks are also checked against the blocks in between with per-shift
+    conflict masks, since compatibility with each earlier block is
+    compatibility with their overlay.  ABELIAN compares letter histograms
+    read off prefix sums packed in one int per position (base 2^bits > hi, so
+    no packed count carries).
 
-    The length equation prunes fresh variables.  Which variables are bound at
-    each pattern index is fixed by the pattern, so a fresh variable occurring
-    c times from here on gets a length of at most (room - fixed - free) // c,
-    where fixed is the total length of the later blocks of bound variables
-    and free the number of later blocks of still-fresh ones.  In exists mode
-    the last fresh variable's length is fixed by the equation exactly.
+    Lengths.  When the block right after a fresh variable's first block is a
+    copy of an earlier variable, the only admissible lengths are those that
+    put a copy of that variable's block there, and they are read off the set
+    bits of its match set; ABELIAN groups the starts of the windows of each
+    block length by packed histogram, once per length within the call.  For
+    FULL and ABELIAN these are exactly the lengths whose next block passes;
+    for the partial kinds they pass the first-block test, and the conflict
+    masks still check the blocks in between.  A fresh block followed by
+    another fresh block or by its own copy (aa, abba) tries every length.
+    The length equation bounds them all: which variables are bound at each
+    index is fixed by the pattern, so a fresh variable occurring c times from
+    here on gets a length of at most (room - fixed - free) // c, where fixed
+    is the total length of the later blocks of bound variables and free the
+    number of later blocks of still-fresh ones.  Every occurrence is still
+    found, and counted or weighted, one at a time.
     """
     k = len(syms)
-    firsts = [syms.index(v) for v in syms]
-    # per index: (c, free, ()) for a variable's first block, where c counts the
-    # variable's blocks and free the later first blocks of other variables;
-    # (0, first, others) for a later block, checked against the blocks at those indices
     partial_kind = kind in PARTIAL_KINDS
-    plan = []
-    for idx, v in enumerate(syms):
-        first = firsts[idx]
-        if first == idx:
-            plan.append((syms.count(v), len([f for f in firsts[idx + 1:] if f > idx]), ()))
-        else:
-            others = [j for j in range(first + 1, idx) if syms[j] == v] if partial_kind else ()
-            plan.append((0, first, others))
+    abelian = kind is CountKind.ABELIAN
+    forward, backward = _plan(syms, kind), _plan(syms[::-1], kind)
+    checked = any(not entry[0] and entry[2] for entry in forward)
     groups = [[j for j, u in enumerate(syms) if u == v] for v in set(syms)] \
         if kind is CountKind.PARTIAL_MORPHISM else ()
-    abelian = kind is CountKind.ABELIAN
 
     def occurrences(chars, hi: int | None = None) -> int:
         exists = hi is not None
-        if not exists:
-            hi = len(chars)
-        weighted = kind is CountKind.PARTIAL_MORPHISM and not exists
+        if exists:
+            chars, plan, starts = chars[:hi][::-1], backward, (0,)
+        else:
+            hi, plan = len(chars), forward
+            starts = range(hi - k + 1)
+        weighted = bool(groups) and not exists
         if abelian:
             unit = [(1 << hi.bit_length()) ** c for c in range(m)]
-            pref = list(accumulate((unit[c] for c in chars[:hi]), initial=0))
+            pref = list(accumulate((unit[c] for c in chars), initial=0))
+            windows = {}
         else:
-            conf, holes = _conflicts(chars[:hi], m)
-        at = [0] * k    # start of each placed block
-        size = [0] * k  # its length
+            masks = [0] * (m + 1)  # the last one collects the holes
+            for i, c in enumerate(chars):
+                masks[c] |= 1 << i
+            holes = masks[-1]
+            if partial_kind:
+                masks = [x | holes for x in masks[:m]] + [-1]
+            if checked:
+                conf = _conflicts(chars, m)
+        at = [0] * k     # start of each placed block
+        size = [0] * k   # its length
+        match = [0] * k  # per first block: the starts of its copies
 
         def weight() -> int:
             w = 1
@@ -143,27 +191,60 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
 
         def walk(idx: int, pos: int, fixed: int) -> int:
             """Occurrences whose block idx, a fresh variable's first, starts at pos."""
-            c, free, _ = plan[idx]
+            c, free, after, grow = plan[idx]
             at[idx] = pos
-            if exists and not free:
-                length, r = divmod(hi - pos - fixed, c)
-                lengths = range(length, length + 1) if length >= 1 and not r else ()
-            else:
-                lengths = range(1, (hi - pos - fixed - free) // c + 1)
+            top = (hi - pos - fixed - free) // c
+            if after < 0:
+                lengths, copy = range(1, top + 1), 0
+            elif top < 1:
+                return 0
+            else:  # the next block copies block `after`: start it at one of its copies
+                copy = size[after]
+                if abelian:
+                    table = windows.get(copy)
+                    if table is None:
+                        table = windows[copy] = {}
+                        for q, h in enumerate(map(sub, pref[copy:], pref)):
+                            table[h] = table.get(h, 0) | 1 << q
+                    s = at[after]
+                    x = table[pref[s + copy] - pref[s]]
+                else:
+                    x = match[after]
+                x = (x >> (pos + 1)) & ((1 << top) - 1)
+                if not x:
+                    return 0
+                lengths = []
+                while x:
+                    low = x & -x
+                    lengths.append(low.bit_length())
+                    x ^= low
+                if plan[idx + 1][2]:  # more blocks to check it against
+                    copy = 0
+            cur, grown = -1, 0  # the match set of the empty block: every start
             total = 0
             for length in lengths:
                 size[idx] = length
+                if grow:
+                    while grown < length:
+                        cur &= masks[chars[pos + grown]] >> grown
+                        grown += 1
+                    match[idx] = cur
                 i, p, f = idx + 1, pos + length, fixed + (c - 1) * length
+                if copy:  # the filter placed block i already
+                    at[i], size[i] = p, copy
+                    i, p, f = i + 1, p + copy, f - copy
                 while i < k and not plan[i][0]:  # the blocks of bound variables
                     _, first, others = plan[i]
-                    step, s = size[first], at[first]
+                    step = size[first]
                     if abelian:
+                        s = at[first]
                         clash = pref[p + step] - pref[p] != pref[s + step] - pref[s]
                     else:
-                        mask = (1 << step) - 1
-                        clash = (conf[p - s] >> s) & mask
-                        for j in others:
-                            clash |= (conf[p - at[j]] >> at[j]) & mask
+                        clash = not match[first] >> p & 1
+                        if others and not clash:
+                            mask = (1 << step) - 1
+                            for j in others:
+                                clash |= (conf[p - at[j]] >> at[j]) & mask
                     if clash:
                         break
                     at[i], size[i] = p, step
@@ -175,9 +256,7 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
                     total += found
             return total
 
-        if exists:
-            return int(any(walk(0, lo, 0) for lo in range(hi - k + 1)))
-        return sum(walk(0, lo, 0) for lo in range(hi - k + 1))
+        return sum(walk(0, lo, 0) for lo in starts)
 
     return occurrences
 

@@ -1,11 +1,12 @@
 """Backtracking search for avoiding words and exact forcing lengths at desk scale.
 
 One depth-first search serves both answers.  It extends a word one character
-at a time and prunes as soon as the newly completed position closes an
-occurrence of the pattern, so only suffix factors ending at the last position
-are ever rechecked; that check is the oracle's occurrence kernel in exists
-mode, built once per search.  Found witnesses are re-verified against the
-oracle's count before being returned.
+at a time and prunes as soon as the new last character closes an occurrence
+of the pattern.  Every shorter prefix was already checked, so only the
+occurrences that end at the last position are looked for: the oracle's
+occurrence kernel in exists mode, built once per search, which walks the word
+reversed with the reversed pattern from that position alone.  Found witnesses
+are re-verified against the oracle's count before being returned.
 """
 
 from __future__ import annotations

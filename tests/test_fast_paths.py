@@ -470,7 +470,11 @@ def _reference_closes(chars, end, syms, m, kind):
                for lo in range(end - len(syms) + 2))
 
 
-KERNEL_PATTERNS = ["a", "aa", "ab", "aba", "aab", "abab", "abba", "aabb", "abcab"]
+# aaa reaches a third block (the partial kinds check it against the second
+# too), in abcba the copy after c reaches back past b to a, and in aaba the
+# copy after b, which its first block places, is a third block
+KERNEL_PATTERNS = ["a", "aa", "ab", "aba", "aab", "abab", "abba", "aabb", "abcab",
+                   "aaa", "abcba", "aaba"]
 
 
 @pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
@@ -504,12 +508,16 @@ def test_kernel_matches_replaced_walkers_on_long_words(kind, length, text):
 
 
 @pytest.mark.parametrize("kind, length, text", [(CountKind.FULL, 100, "abab"),
-                                                (CountKind.ABELIAN, 70, "aba")],
-                         ids=["full-100-abab", "abelian-70-aba"])
+                                                (CountKind.ABELIAN, 70, "aba"),
+                                                (CountKind.PARTIAL_COLLAPSED, 40, "aba")],
+                         ids=["full-100-abab", "abelian-70-aba", "partial-collapsed-40-aba"])
 def test_closes_occurrence_matches_replaced_matcher_at_every_end(kind, length, text):
+    # exists mode walks the reversed prefix; the partial word, over two letters
+    # and the hole, is longer than the grid's
     syms = Pattern.from_text(text).symbols
     rng = random.Random(f"{kind.value} {text}")
-    chars = [rng.randrange(2) for _ in range(length)]
+    alphabet = [0, 1, HOLE] if kind in PARTIAL_KINDS else [0, 1]
+    chars = [rng.choice(alphabet) for _ in range(length)]
     for end in range(length):
         assert _walker(kind, 2, syms)(chars, end + 1) == \
             _reference_closes(chars, end, syms, 2, kind), end
