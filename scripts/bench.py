@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Before/after timings of the oracle totals, the avoidance search, the series
-builders, the bound calculators and the abelian constant.
+builders, the bound calculators, the decimal output of a bound and the abelian
+constant.
 
 A measurement pass times each row's call with time.perf_counter, with every
 functools cache of the library emptied before the call so it costs what a
@@ -45,7 +46,9 @@ REPEAT = 3
 LOOP, LOOP_BELOW = 10, 0.02  # calls per timed run of a row faster than LOOP_BELOW seconds
 # (kind or None for the bivariate series, pattern, m, order)
 SERIES = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 300), (None, "aba", 2, 60)]
-THRESHOLD = ("FULL", "abab", 3, 2000)  # kind, pattern, m, n_max
+# kind, pattern, m, n_max; the ABELIAN scan stops at n = 10
+THRESHOLDS = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 2000)]
+PRINTED = (7, 3)  # double_uparrow(x, y) printed in full: 695,975 digits
 # (kind, pattern, n, m): the oracle totals of the ROADMAP baseline table
 TOTALS = [("FULL", "aba", 16, 2), ("ABELIAN", "aba", 14, 2), ("PARTIAL_COLLAPSED", "aba", 10, 2)]
 FIND = ("FULL", "abab", 3, 40, None)  # kind, pattern, m, length, holes
@@ -179,17 +182,23 @@ def measure(totals: bool = True) -> list[dict]:
             coeffs = [series.coeff(n) for n in range(order + 1)]
             name = f"ogf_build({kind}, {text!r}, {m}, {order})"
         rows.append(_series_row(name, coeffs, order, secs))
-    kind, text, m, n_max = THRESHOLD
-    threshold, secs = _timed(lambda: bounds.exact_avoidance_threshold(
-        CountKind[kind], Pattern.from_text(text), m, n_max))
-    rows.append(_series_row(f"exact_avoidance_threshold({kind}, {text!r}, {m}, {n_max})",
-                            [threshold], n_max, secs))
+    for kind, text, m, n_max in THRESHOLDS:
+        threshold, secs = _timed(lambda: bounds.exact_avoidance_threshold(
+            CountKind[kind], Pattern.from_text(text), m, n_max))
+        rows.append(_series_row(f"exact_avoidance_threshold({kind}, {text!r}, {m}, {n_max})",
+                                [threshold], n_max, secs))
     for x, y in UPARROW:
         rows.append(_bound_row(f"double_uparrow({x}, {y})",
                                *_timed(lambda: bounds.double_uparrow(x, y))))
     for m, i in ZIMIN_UPPER:
         rows.append(_bound_row(f"zimin_upper({m}, {i})",
                                *_timed(lambda: bounds.zimin_upper(m, i))))
+    x, y = PRINTED
+    bound = bounds.double_uparrow(x, y)
+    printed, secs = _timed(lambda: str(bound))
+    rows.append({"name": f"str(double_uparrow({x}, {y}))", "layer": "bounds",
+                 "result_sha256": _digest(printed), "work": {"digits": len(printed)},
+                 "seconds": secs})
     for m, k, eps in ABELIAN:
         const, secs = _timed(lambda: asymptotics.abelian_constant(m, k, eps))
         digest = _digest(f"{const.value.hex()} {const.terms} {const.tail_bound.hex()}")

@@ -11,6 +11,7 @@ envelope, with graceful overflow marking past a configurable digit cap.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ DEFAULT_DIGIT_CAP = 1_000_000
 DEFAULT_SERIES_BUDGET = 2_000
 
 _LOG2_10 = math.log2(10)
+_SPLIT_BITS = 128  # _decimal converts parts of at most this many bits directly
 
 
 def _reaches_cap(value: int, cap: int) -> bool:
@@ -45,14 +47,38 @@ def _reaches_cap(value: int, cap: int) -> bool:
 
 
 def _decimal(value: int) -> str:
-    """Every digit of value; the digit cap, not the interpreter's int-to-str
-    limit, bounds how long a bound may be."""
+    """Every digit of value >= 0; the digit cap, not the interpreter's int-to-str
+    limit, bounds how long a bound may be.
+
+    Below that limit this is str(value).  Above it, str would refuse, and is
+    quadratic in the digit count anyway: value is split in binary, each half
+    converted to a Decimal, and the halves recombined as hi * 2^w + lo in
+    decimal arithmetic at full precision, whose multiplication is
+    subquadratic (the method of CPython 3.12's _pylong module).  str of a
+    Decimal has no digit limit.
+    """
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    if not limit or not _reaches_cap(value, limit):
         return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    powers = {}  # w -> Decimal(2) ** w, shared by the halves of one width
+
+    def power(w: int) -> decimal.Decimal:
+        if w not in powers:
+            powers[w] = (decimal.Decimal(2) ** w if w <= _SPLIT_BITS
+                         else power(w >> 1) * power(w - (w >> 1)))
+        return powers[w]
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        if w <= _SPLIT_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, w - half) * power(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(value, value.bit_length()))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,10 @@ can fill k_j z-weight per image coordinate:
     bivariate          hole-marked columns:          1/(1 - (u^{k_j} + m[(1+u)^{k_j} - u^{k_j}]) z^{k_j}) - 1
     ABELIAN            anagram columns:              sum_l M(l, m, k_j) z^{k_j l}
 
-with M the multinomial power sum.  For FULL and PARTIAL_COLLAPSED each factor
+with M the multinomial power sum: M(l, m, k) / (l!)^k is the l-th coefficient of
+(sum_i x^i / (i!)^k)^m, and the power rule for series (f g' = m f' g for
+g = f^m) gives each M(l) from the earlier ones by one exact integer
+recurrence (see _mps_terms).  For FULL and PARTIAL_COLLAPSED each factor
 is a_j z^{k_j} / (1 - a_j z^{k_j}) and the outer factor is 1/(1 - b z)^2, so the
 series is the rational function N/D with
 
@@ -26,20 +29,21 @@ series is the rational function N/D with
 
 b = m for FULL and u + m with holes marked (m + 1 at u = 1).  D(0) = 1, so the
 coefficients follow the integer recurrence c_n = N_n - sum_{i>=1} D_i c_{n-i}.
-ABELIAN is not rational: there N is the product of the sparse factors,
-truncated at the order, and D = (1 - m z)^2.  The bivariate series runs the same
-recurrence at u = 2^s (Kronecker substitution): evaluation at 2^s is a ring
-homomorphism Z[u] -> Z, and every [z^n u^h] is at most the u = 1 total [z^n],
-which is below 2^s, so the h-th base-2^s digit of the n-th term is [z^n u^h].
+ABELIAN is not rational: there N is the product of the sparse factors and
+D = (1 - m z)^2; N is streamed, each term computed when the recurrence reads
+it, so a scan that stops early pays only for the terms it read.  The bivariate
+series runs the same recurrence at u = 2^s (Kronecker substitution):
+evaluation at 2^s is a ring homomorphism Z[u] -> Z, and every [z^n u^h] is at
+most the u = 1 total [z^n], which is below 2^s, so the h-th base-2^s digit of
+the n-th term is [z^n u^h].
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
-from functools import lru_cache
-from itertools import chain, count, islice, repeat
-from math import prod
+from collections.abc import Iterable, Iterator
+from itertools import chain, count, islice, repeat, tee
+from math import gcd, prod
 from operator import mul
 
 from .oracle import CountKind
@@ -48,41 +52,44 @@ from .words import Pattern, signature
 
 
 def _mps_terms(m: int, k: int) -> Iterator[int]:
-    """M(l, m, k) for l = 0, 1, 2, ..., one l per step, by the factorial-weight convolution.
+    """M(l, m, k) for l = 0, 1, 2, ..., one l per step, by the power recurrence.
 
-    The m-fold convolution of 1/(i!)^k scaled by (l!)^k collapses to the
-    integer recurrence M(l, j, k) = sum_i C(l, i)^k M(l - i, j - 1, k),
-    which avoids rational arithmetic entirely.  Each step extends the rows of
-    every alphabet size j < m by one l, computes the powers C(l, i)^k once,
-    and yields the size-m value without storing it: no later step reads it.
+    M(l, m, k) / (l!)^k is the l-th coefficient of g = f^m with
+    f = sum_i x^i / (i!)^k.  Differentiating gives f g' = m f' g; comparing the
+    coefficients of x^(n-1), with f_0 = 1, gives
+    n g_n = sum_{i=1..n} ((m + 1) i - n) f_i g_{n-i}, and multiplying by (n!)^k
+    turns it into the integer recurrence
+
+        n M(n) = sum_{i=1..n} ((m + 1) i - n) C(n, i)^k M(n - i).
+
+    The right side is n times the integer M(n), so the division is exact and
+    only the list of earlier M values is kept.  C(n, i) = C(n, n - i), so the
+    terms i and n - i share one binomial power, and the term i = n is m n.
     """
-    if m == 1:
-        yield from repeat(1)
+    if m == 1 or k == 1:
+        yield from map(pow, repeat(m), count())  # one part, or the multinomial theorem
         return
-    rows = [[] for _ in range(m - 1)]  # rows[j][l] = M(l, j + 1, k)
-    for total in count():
-        powers = []
-        c = 1  # C(total, i), updated incrementally
-        for i in range(total + 1):
-            powers.append(c ** k)
-            c = c * (total - i) // (i + 1)
-        rows[0].append(1)
-        for prev, row in zip(rows, rows[1:]):
-            row.append(sum(map(mul, powers, reversed(prev))))
-        yield sum(map(mul, powers, reversed(rows[-1])))
-
-
-@lru_cache(maxsize=64)
-def _mps_table(limit: int, m: int, k: int) -> tuple[int, ...]:
-    """M(l, m, k) for l = 0..limit: a prefix of _mps_terms."""
-    return tuple(islice(_mps_terms(m, k), limit + 1))
+    values = [1]  # values[l] = M(l, m, k)
+    yield 1
+    for n in count(1):
+        total = m * n
+        c = 1  # C(n, i), updated incrementally
+        for i in range(1, n // 2 + 1):
+            c = c * (n - i + 1) // i
+            j = n - i
+            pair = ((m + 1) * i - n) * values[j]
+            if j != i:
+                pair += ((m + 1) * j - n) * values[i]
+            total += c ** k * pair
+        values.append(total // n)
+        yield values[-1]
 
 
 def multinomial_power_sum(length: int, m: int, k: int) -> int:
     """Sum over compositions of `length` into m parts of the multinomial coefficient^k."""
     if length < 1 or m < 1 or k < 1:
         raise ValueError("multinomial power sum needs length, m, k all >= 1")
-    return _mps_table(length, m, k)[length]
+    return next(islice(_mps_terms(m, k), length, None))
 
 
 def multinomial_power_sum_enum(length: int, m: int, k: int) -> int:
@@ -102,11 +109,12 @@ def multinomial_power_sum_enum(length: int, m: int, k: int) -> int:
     return walk(m, length, 1)
 
 
-def _ratio_terms(num: list[int], den: list[int]) -> Iterator[int]:
+def _ratio_terms(num: Iterable[int], den: list[int]) -> Iterator[int]:
     """[z^n] N(z)/D(z) for n = 0, 1, 2, ..., where D(0) = 1.
 
     The integer recurrence c_n = N_n - sum_{i>=1} D_i c_{n-i}, with N zero past
-    its last listed coefficient; only the last deg D terms are kept.
+    its last listed coefficient; N is read one term per step, and only the
+    last deg D terms are kept.
     """
     taps = den[1:]
     recent = deque(maxlen=len(taps))  # recent[i - 1] = c_{n-i}
@@ -124,22 +132,54 @@ def _times_binomial(poly: list[int], a: int, k: int) -> list[int]:
     return out
 
 
-def _rational_form(kind: CountKind, mults: tuple[int, ...], m: int, order: int,
-                   u: int = 1) -> tuple[list[int], list[int]]:
-    """N and D with [z^n] N/D the occurrence total at length n, for n <= order.
+def _columns(weights: Iterator[int], k: int) -> Iterator[int]:
+    """[z^n] sum_{l>=1} w_l z^(k l), one n per step, from w = w_0, w_1, ..."""
+    next(weights)  # w_0 multiplies z^0, which the factor leaves out
+    yield 0
+    for w in weights:
+        yield from repeat(0, k - 1)
+        yield w
 
-    u is the value of the hole marker; only PARTIAL_COLLAPSED reads it.
+
+def _times_columns(left: Iterator[int], weights: Iterator[int], k: int,
+                   step: int) -> Iterator[int]:
+    """[z^n] L(z) * sum_{l>=1} w_l z^(k l), one n per step, where L vanishes off
+    the multiples of `step`.
+
+    L and w = w_0, w_1, ... are read only as far as n needs them: the terms of
+    L up to z^n and the weights up to w_(n // k).  The product vanishes off the
+    multiples of gcd(step, k), and those terms cost no multiplication.
+    """
+    seen, ws = [], []  # seen[i] = L_i; ws[l - 1] = w_l
+    next(weights)
+    stride = gcd(step, k)
+    for n, term in enumerate(left):
+        seen.append(term)
+        if n and n % k == 0:
+            ws.append(next(weights))
+        if n < k or n % stride:
+            yield 0
+        else:
+            yield sum(map(mul, ws, seen[n - k::-k]))  # w_l L_(n - k l), l = 1..n // k
+
+
+def _rational_form(kind: CountKind, mults: tuple[int, ...], m: int,
+                   u: int = 1) -> tuple[Iterable[int], list[int]]:
+    """N and D with [z^n] N/D the occurrence total at every length n.
+
+    u is the value of the hole marker; only PARTIAL_COLLAPSED reads it.  The
+    ABELIAN N is an endless stream of terms: each is computed when it is read.
     """
     if kind is CountKind.ABELIAN:
-        num = [1] + [0] * order
-        for kj in mults:
-            table = _mps_table(order // kj, m, kj)
-            product = [0] * (order + 1)
-            for i, c in enumerate(num):
-                if c:
-                    for ell in range(1, (order - i) // kj + 1):
-                        product[i + kj * ell] += c * table[ell]
-            num = product
+        # one stream of M values per distinct multiplicity, shared by its variables
+        weights = {kj: list(tee(_mps_terms(m, kj), mults.count(kj))) for kj in set(mults)}
+        # the first factor costs no multiplication and each later one n // k_j
+        # per term, so the smallest multiplicity goes first
+        first, *rest = sorted(mults)
+        num, step = _columns(weights[first].pop(), first), first
+        for kj in rest:
+            num = _times_columns(num, weights[kj].pop(), kj, step)
+            step = gcd(step, kj)
         return num, [1, -2 * m, m * m]
     if kind is CountKind.FULL:
         b, columns = m, [m] * len(mults)
@@ -163,7 +203,7 @@ def _occurrence_terms(kind: CountKind, p: Pattern, m: int, order: int) -> Iterat
                          " use PARTIAL_COLLAPSED")
     if kind not in (CountKind.FULL, CountKind.PARTIAL_COLLAPSED, CountKind.ABELIAN):
         raise ValueError(f"unsupported kind {kind}")
-    num, den = _rational_form(kind, signature(p).mults, m, order)
+    num, den = _rational_form(kind, signature(p).mults, m)
     return islice(_ratio_terms(num, den), order + 1)
 
 
@@ -183,8 +223,7 @@ def ogf_bivariate(p: Pattern, m: int, order: int) -> BivariateSeries:
     """Hole-marked partial-word series: [z^n u^h] totals collapsed counts at h holes."""
     totals = ogf_build(CountKind.PARTIAL_COLLAPSED, p, m, order).coeffs
     s = 1 + max(c.bit_length() for c in totals)
-    num, den = _rational_form(CountKind.PARTIAL_COLLAPSED, signature(p).mults, m, order,
-                              u=1 << s)
+    num, den = _rational_form(CountKind.PARTIAL_COLLAPSED, signature(p).mults, m, u=1 << s)
     packed = islice(_ratio_terms(num, den), order + 1)
     return BivariateSeries(_digits(value, s, n + 1) for n, value in enumerate(packed))
 

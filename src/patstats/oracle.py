@@ -39,7 +39,6 @@ that class is walked.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, combinations, product
@@ -379,6 +378,9 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
     if workers <= 1:
         half = sum(map(unit_total, units))
     else:
+        # imported here: the pool machinery costs ~2 MB of memory that
+        # single-process callers never need
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             half = sum(pool.map(unit_total, units))
     all_holes = 0

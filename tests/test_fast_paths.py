@@ -1,8 +1,12 @@
 """Fast paths against the code they replaced, bit for bit.
 
 Each fast path keeps the exact answer of a slower formulation: the digit-cap
-test decides value >= 10**cap from bit lengths, and the multinomial power sums
-M(l, m, k) are extended one l at a time instead of rebuilt as doubling tables.
+test decides value >= 10**cap from bit lengths, decimal output past the
+interpreter's int-to-str limit converts binary halves in decimal arithmetic
+instead of calling str with the limit lifted, and the multinomial power sums
+M(l, m, k) come one l at a time from one power recurrence instead of m - 1
+stacked convolution rows rebuilt as tables.  The ABELIAN series numerator is
+streamed term by term instead of built to the full order.
 The replaced formulations are kept here as references, and the abelian
 constants are pinned to the values, term counts and tail bounds the rebuilt
 tables produced, as float hex strings.  Patterns with several variables of one
@@ -16,21 +20,22 @@ totals walk only the words whose first letter is 0; the replaced walkers are
 the reference, and the search outcomes they produced are pinned.
 """
 
+import concurrent.futures
 import math
 import operator
 import random
+import sys
 from itertools import islice, product
 
 import pytest
 
 from patstats import asymptotics, bounds
 from patstats.asymptotics import MeanKind, abelian_constant, mean_asymptotic
-from patstats.bounds import (DEFAULT_DIGIT_CAP, _reaches_cap, avoidance_threshold,
+from patstats.bounds import (DEFAULT_DIGIT_CAP, _decimal, _reaches_cap, avoidance_threshold,
                              exact_avoidance_threshold)
 from patstats.errors import ToleranceError
-from patstats.genfunc import (_mps_table, _mps_terms, multinomial_power_sum_enum,
+from patstats.genfunc import (_mps_terms, multinomial_power_sum, multinomial_power_sum_enum,
                               ogf_bivariate, ogf_build)
-from patstats import oracle
 from patstats.oracle import PARTIAL_KINDS, CountKind, _iter_chars, _walker, total_count
 from patstats.search import exact_ramsey_length, find_avoiding
 from patstats.words import HOLE, Pattern, signature
@@ -62,6 +67,35 @@ def test_cap_decision_far_from_the_edge():
     assert _reaches_cap(2 ** (4 * DEFAULT_DIGIT_CAP), DEFAULT_DIGIT_CAP)
 
 
+# --- decimal output -------------------------------------------------------------
+
+def _values_past_the_str_limit(limit):
+    rng = random.Random(limit)
+    for digits in (1, limit - 1, limit, limit + 1, 5_000, 40_000):
+        yield 10 ** digits - 1
+        yield 10 ** digits
+        yield 10 ** digits + 1
+    # odd and power-of-two widths, so that splits into unequal halves and the
+    # shared powers of two are exercised
+    for bits in (14_000, 14_337, 16_384, 16_385, 65_536, 100_003, 340_000):
+        yield 2 ** bits - 1
+        yield 2 ** bits
+        yield rng.getrandbits(bits) | 1 << (bits - 1)
+    yield 0
+
+
+def test_decimal_matches_str_past_the_limit():
+    limit = sys.get_int_max_str_digits()
+    texts = [(value, _decimal(value)) for value in _values_past_the_str_limit(limit)]
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        for value, text in texts:
+            assert text == str(value), value.bit_length()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # --- the multinomial power sums -------------------------------------------------
 
 def _doubling_table(limit, m, k):
@@ -80,13 +114,20 @@ def _doubling_table(limit, m, k):
     return tuple(row)
 
 
-@pytest.mark.parametrize("m", range(1, 7))
-@pytest.mark.parametrize("k", range(1, 5))
-def test_mps_terms_match_replaced_table(m, k):
+# every alphabet the benchmark and the abelian constants ask about (m = 4..12)
+# is on the grid, where a wrong coefficient breaks the exact division
+@pytest.mark.parametrize("k, m", [(k, m) for k in range(1, 5) for m in range(1, 7)]
+                         + [(k, m) for k in range(2, 5) for m in range(7, 13)])
+def test_mps_terms_match_replaced_table(k, m):
     expected = _doubling_table(40, m, k)
     assert tuple(islice(_mps_terms(m, k), 41)) == expected
-    assert _mps_table(40, m, k) == expected
-    assert _mps_table(7, m, k) == expected[:8]
+    for ell in (1, 7, 40):
+        assert multinomial_power_sum(ell, m, k) == expected[ell]
+
+
+def test_mps_terms_match_replaced_table_long():
+    # abelian_constant(11, 2, 1e-9) reads 248 terms
+    assert tuple(islice(_mps_terms(11, 2), 251)) == _doubling_table(250, 11, 2)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -168,8 +209,10 @@ def test_equal_multiplicities_share_one_abelian_factor(monkeypatch, text):
 # --- the series recurrence ------------------------------------------------------
 
 SERIES_KINDS = [CountKind.FULL, CountKind.PARTIAL_COLLAPSED, CountKind.ABELIAN]
+# in "aabbb" (multiplicities 2 and 3) the abelian product fills the odd lengths
+# that its first factor leaves empty
 SERIES_CORPUS = ["a", "aa", "ab", "aba", "aab", "abab", "abba",
-                 "abac", "abaca", "abacab", "abacaba"]
+                 "abac", "abaca", "abacab", "abacaba", "aabbb"]
 
 
 def _series_product(factors, order, zero, add, times):
@@ -192,7 +235,7 @@ def _product_form(kind, p, m, order):
     for k in signature(p).mults:
         top = order // k
         if kind is CountKind.ABELIAN:
-            terms = _mps_table(top, m, k)
+            terms = tuple(islice(_mps_terms(m, k), top + 1))
         else:
             column = m if kind is CountKind.FULL else m * 2 ** k - m + 1
             terms = [column ** ell for ell in range(top + 1)]
@@ -561,7 +604,7 @@ class _InlinePool:
     (CountKind.PARTIAL_MORPHISM, 1, 6),  # at most one leading hole
 ])
 def test_worker_pool_is_capped_at_the_work_units(monkeypatch, kind, holes, units):
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     p = Pattern.from_text("aba")
     expected = total_count(kind, 4, 2, p, holes=holes)

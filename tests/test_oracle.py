@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import patstats
 from patstats.errors import BudgetExceededError
 from patstats.oracle import (CountKind, count_abelian, count_full, count_partial,
                              mean_exact, population_size, total_count)
@@ -107,6 +111,16 @@ def test_total_workers_match_sequential():
     lone = total_count(COLLAPSED, 5, 2, p)
     multi = total_count(COLLAPSED, 5, 2, p, workers=2)
     assert lone == multi
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # the pool machinery is imported by the first multi-worker total, not before
+    code = ("import sys, patstats, patstats.cli, patstats.reproduce; print(sorted("
+            "name for name in sys.modules if name.startswith(('multiprocessing', 'concurrent'))))")
+    src = os.path.dirname(os.path.dirname(patstats.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_mean_exact_full_aa():
