@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Before/after timings of the oracle totals, the avoidance search, the series
 builders, the bound calculators, the decimal output of a bound and the abelian
-constant.
+constant, and every command-line example of the README, run in-process
+through cli.main.
 
-A measurement pass times each row's call with time.perf_counter, with every
-functools cache of the library emptied before the call so it costs what a
-fresh script pays.  A call that takes under LOOP_BELOW seconds varies too much
-from one timed run to the next, so such a row is timed as the mean of LOOP
-further calls, the caches emptied before each.  A row keeps its fastest time
+A measurement pass times each row's call with time.perf_counter after a
+garbage collection.  A call that takes under LOOP_BELOW seconds varies too
+much from one timed run to the next, so such a row is timed as the mean of
+LOOP further calls, each after a collection.  A row keeps its fastest time
 over REPEAT passes; the oracle totals, which take seconds to minutes, run in
 the first pass only.  A row records its inputs, a hash of the result (so the
-two sides can be seen to give the same answer) and a work counter.
+two sides can be seen to give the same answer) and a work counter.  Rows that
+print a leading-term mean carry the printed floats instead, and the
+comparison reports their relative difference: a mean is a float evaluation,
+and the same value computed in another order may differ in its last bits.
 
     python scripts/bench.py                        # rows for the library on sys.path
     python scripts/bench.py --before OLD --after NEW --out BENCH.json
@@ -24,7 +27,6 @@ adds the wall time of each checkout's tier-1 test command.
 
 import argparse
 import contextlib
-import functools
 import gc
 import hashlib
 import io
@@ -58,7 +60,7 @@ RAMSEY = ("FULL", "aba", 3, 12)  # kind, pattern, m, n_max
 KERNEL_COUNTS = [("FULL", "abab", 100), ("ABELIAN", "aba", 70)]
 KERNEL_RAMSEY = ("FULL", "abab", 2, 25)
 KERNEL_FIND = ("PARTIAL_COLLAPSED", "aa", 3, 14, 1)
-README_COMMAND = ["bounds", "uparrow", "-x", "3", "-y", "3"]
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -85,26 +87,46 @@ def _series_row(name: str, coeffs, order: int, secs: float) -> dict:
             "work": {"order": order}, "seconds": secs}
 
 
-def _clear_caches() -> None:
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("patstats"):
-            for obj in vars(module).values():
-                if isinstance(obj, functools._lru_cache_wrapper):
-                    obj.cache_clear()
-    gc.collect()
+def readme_commands() -> list[list[str]]:
+    """The argv of each `patstats ...` example line of the README."""
+    with open(README) as fh:
+        return [line.split("#")[0].split()[1:] for line in fh if line.startswith("patstats ")]
+
+
+def _cli_row(cli, argv: list[str]) -> dict:
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        return code, json.loads(out.getvalue())["result"]
+
+    (code, result), secs = _timed(run)
+    row = {"name": "patstats " + " ".join(argv), "layer": "end-to-end",
+           "result_sha256": _digest(f"{code} {result}"), "work": {"exit": code},
+           "seconds": secs}
+    if argv[0] == "stats":
+        row.update(result_sha256=None, values=[result])
+    elif argv[0] == "reproduce":
+        # each line's name and verdict, and the exact lines' values, are hashed
+        floats = [line["computed"] for line in result if isinstance(line["computed"], float)]
+        exact = [(line["name"], line["ok"], line["computed"]) for line in result
+                 if not isinstance(line["computed"], float)]
+        verdicts = [(line["name"], line["ok"]) for line in result]
+        row.update(result_sha256=_digest(f"{code} {verdicts} {exact}"), values=floats)
+    return row
 
 
 def _timed(call):
     """The result of call and its time, or the mean time of LOOP more calls
-    when it takes under LOOP_BELOW seconds; caches emptied before each call."""
-    _clear_caches()
+    when it takes under LOOP_BELOW seconds; a garbage collection before each call."""
+    gc.collect()
     start = time.perf_counter()
     result = call()
     secs = time.perf_counter() - start
     if secs < LOOP_BELOW:
         secs = 0.0
         for _ in range(LOOP):
-            _clear_caches()
+            gc.collect()
             start = time.perf_counter()
             call()
             secs += time.perf_counter() - start
@@ -209,20 +231,10 @@ def measure(totals: bool = True) -> list[dict]:
         mean, secs = _timed(lambda: asymptotics.mean_asymptotic(
             asymptotics.MeanKind.ABELIAN, Pattern.from_text(text), m, n, eps=eps))
         rows.append({"name": f"mean_asymptotic(ABELIAN, {text!r}, {m}, {n}, eps={eps!r})",
-                     "layer": "asymptotics", "result_sha256": _digest(mean.value.hex()),
+                     "layer": "asymptotics", "result_sha256": None, "values": [mean.value],
                      "work": {"terms": [c.terms for c in mean.abelian_factors]},
                      "seconds": secs})
-
-    def readme_command():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(README_COMMAND)
-        return code, json.loads(out.getvalue())["result"]
-
-    (code, result), secs = _timed(readme_command)
-    rows.append({"name": "patstats " + " ".join(README_COMMAND), "layer": "end-to-end",
-                 "result_sha256": _digest(f"{code} {result}"), "work": {"exit": code},
-                 "seconds": secs})
+    rows.extend(_cli_row(cli, argv) for argv in readme_commands())
     return rows
 
 
@@ -266,18 +278,25 @@ def compare(before: str, after: str) -> dict:
     rows = []
     for a, b in zip(old, new):
         assert a["name"] == b["name"]
-        rows.append({"name": a["name"], "layer": a["layer"],
-                     "same_result": a["result_sha256"] == b["result_sha256"]
-                     if a["result_sha256"] else None,
-                     "before": {k: a[k] for k in ("result_sha256", "work", "seconds")},
-                     "after": {k: b[k] for k in ("result_sha256", "work", "seconds")},
-                     "speedup": a["seconds"] / b["seconds"]})
+        row = {"name": a["name"], "layer": a["layer"]}
+        if a["result_sha256"]:
+            row["same_result"] = a["result_sha256"] == b["result_sha256"]
+        if "values" in a:
+            row["relative_difference"] = max(
+                (abs(y - x) / abs(x) for x, y in zip(a["values"], b["values"], strict=True)),
+                default=0.0)
+        keys = ("result_sha256", "values", "work", "seconds")
+        row["before"] = {k: a[k] for k in keys if k in a}
+        row["after"] = {k: b[k] for k in keys if k in b}
+        row["speedup"] = a["seconds"] / b["seconds"]
+        rows.append(row)
     return {"method": f"time.perf_counter, fastest of {REPEAT} passes per side (the oracle"
                       " totals: first pass only), each row timed once per pass, as the mean of"
                       f" {LOOP} calls after a first one when that takes under {LOOP_BELOW} s,"
                       " the two sides back to back in each pass with the first side"
-                      " alternating, caches emptied before each call; the tier-1 suite runs"
-                      " once per side",
+                      " alternating, a garbage collection before each call; rows that print a"
+                      " leading-term mean report the relative difference of the printed"
+                      " floats; the tier-1 suite runs once per side",
             "machine": {"python": platform.python_version(), "platform": platform.platform(),
                         "nproc": os.cpu_count()},
             "rows": rows}

@@ -4,9 +4,9 @@ Every evaluator returns the leading term only; the vanishing correction factors
 the exact means carry at finite n are dropped throughout, and the convergence
 of exact/asymptotic ratios is exercised by the test suite instead.
 
-The mean number of occurrences in a length-n word over m letters is
+The mean number of occurrences in a length-n word over m letters is C n^(s+1),
 
-    n^(s+1) / (s+1)!  *  product over repeated variables (multiplicity k) of F(k)
+    C = product over repeated variables (multiplicity k) of F(k)  /  (s+1)!
 
 with the kind-specific factor
 
@@ -16,6 +16,9 @@ with the kind-specific factor
               the leading term)
     DENSITY   ([1+d(m-1)]^k - (1-1/m)(md)^k) / (m^(k-1) - [1+d(m-1)]^k + (1-1/m)(md)^k)
     ABELIAN   sum_{l>=1} M(l, m, k) / m^(kl)   (m >= 4; truncated with a tail bound)
+
+C is carried as ln C, which the first-moment thresholds in bounds.py also read:
+the length where C n^(s+1) reaches 1 is exp(-ln C / (s+1)).
 """
 
 from __future__ import annotations
@@ -110,71 +113,96 @@ def abelian_constant(m: int, k: int, eps: float = DEFAULT_ABELIAN_EPS) -> Abelia
         f"within {ABELIAN_TERM_CAP} terms", partial=total, terms=ABELIAN_TERM_CAP)
 
 
-def _density_factor(m: int, k: int, d: Fraction) -> float:
-    # exact rational arithmetic up to the final conversion
-    filled = (1 + d * (m - 1)) ** k
-    holed = Fraction(m - 1, m) * (m * d) ** k
-    num = filled - holed
-    den = m ** (k - 1) - num
-    if den <= 0:
-        raise ValueError("density factor denominator vanished (one-letter alphabet or d too close to 1)")
-    return float(num / den)
+def _ln_factor(kind: MeanKind, m: int, k: int, d: Fraction | None,
+               eps: float) -> tuple[float, AbelianConstant | None]:
+    """ln F(k) for one repeated variable of multiplicity k, and its abelian constant.
 
-
-def _kind_factor(kind: MeanKind, m: int, k: int, d: Fraction | None,
-                 eps: float) -> tuple[float, AbelianConstant | None]:
+    Evaluated in log space, so k may be far too large for m^k to be built (the
+    Zimin signatures reach k = 2^(i-1)).  A vanishing density denominator gives
+    +inf: the mean then outgrows n^(s+1).
+    """
     if kind is MeanKind.FULL:
-        den = m ** (k - 1) - 1
-        if den == 0:
+        # -ln(m^(k-1) - 1)
+        if m < 2:
             raise ValueError("full-word factor diverges for a one-letter alphabet")
-        return 1 / den, None  # int/int stays exact until the final rounding
+        ln_main = (k - 1) * math.log(m)
+        return -ln_main - math.log1p(-math.exp(-ln_main)), None
     if kind in (MeanKind.PARTIAL, MeanKind.STRICT):
-        num = m * 2 ** k - m + 1
-        den = (m + 1) ** k - num
-        if den <= 0:
+        # -ln((m+1)^k / (m 2^k - m + 1) - 1)
+        if m < 2:
             raise ValueError("partial factor diverges for a one-letter alphabet")
-        return num / den, None
+        ln_a = k * math.log(m + 1)
+        ln_b = math.log(m) + k * math.log(2)
+        if k < 1020:  # below this the correction is representable at all
+            ln_b += math.log1p((1 - m) / (m * 2 ** k))
+        return ln_b - ln_a - math.log1p(-math.exp(ln_b - ln_a)), None
     if kind is MeanKind.DENSITY:
-        return _density_factor(m, k, d), None
+        # -ln(m^(k-1) / ([1+d(m-1)]^k - (1-1/m)(md)^k) - 1)
+        df = float(d)
+        ln_fill = k * math.log1p(df * (m - 1))
+        ratio = (1 - 1 / m) * math.exp(k * (math.log(m * df) - math.log1p(df * (m - 1))))
+        ln_den = ln_fill + math.log1p(-ratio)
+        ln_num = (k - 1) * math.log(m)
+        if ln_den >= ln_num:
+            return math.inf, None
+        return ln_den - ln_num - math.log1p(-math.exp(ln_den - ln_num)), None
     if kind is MeanKind.ABELIAN:
         const = abelian_constant(m, k, eps)
-        return const.value, const
+        return math.log(const.value), const
     raise ValueError(f"unsupported kind {kind}")
+
+
+def _ln_coefficient(kind: MeanKind, sig: PatternSignature, m: int, d: Fraction | None,
+                    eps: float) -> tuple[float, tuple[AbelianConstant, ...]]:
+    """ln C of the leading term C n^(s+1), C = product of F(k) / (s+1)!, and the
+    abelian constants behind it, one per repeated variable in pattern order.
+
+    Holds the input checks that the means and the thresholds share.  Each
+    distinct multiplicity's factor is computed once, in first-occurrence order,
+    so the same variable's failure is raised first.
+    """
+    if m < 1:
+        raise ValueError("alphabet size must be >= 1")
+    if kind is MeanKind.ABELIAN and m < 4:
+        raise ValueError("abelian factors need an alphabet of at least 4 letters")
+    if kind is MeanKind.DENSITY:
+        if d is None or not 0 < d < 1:
+            raise ValueError("hole density d must lie strictly between 0 and 1")
+    elif d is not None:
+        raise ValueError("hole density only applies to the DENSITY kind")
+    factors = {k: _ln_factor(kind, m, k, d, eps) for k in dict.fromkeys(sig.repeated)}
+    ln_c = -math.lgamma(sig.s + 2)  # -ln((s+1)!)
+    consts = []
+    for k in sig.repeated:
+        ln_f, const = factors[k]
+        ln_c += ln_f
+        if const is not None:
+            consts.append(const)
+    return ln_c, tuple(consts)
 
 
 def mean_asymptotic(kind: MeanKind, p: Pattern, m: int, n: int,
                     d: Fraction | None = None,
                     eps: float = DEFAULT_ABELIAN_EPS) -> AsymptoticMean:
-    """Leading-term mean occurrence count of p for the requested word model."""
-    if m < 1:
-        raise ValueError("alphabet size must be >= 1")
+    """Leading-term mean occurrence count C n^(s+1) of p for the requested word
+    model; a mean past float range is inf."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    if kind is MeanKind.ABELIAN and m < 4:
-        raise ValueError("abelian mean needs an alphabet of at least 4 letters")
-    if kind is MeanKind.DENSITY:
-        if d is None or not 0 < d < 1:
-            raise ValueError("hole density d must lie strictly between 0 and 1")
-        if not isinstance(d, Fraction):
-            d = Fraction(d)
+    sig = signature(p)
+    ln_c, consts = _ln_coefficient(kind, sig, m, d, eps)
+    if ln_c == math.inf:  # no leading term of order n^(s+1); a threshold reads it as 0
+        raise ValueError("density factor denominator vanished "
+                         "(one-letter alphabet or d too close to 1)")
+    if d is not None:
+        d = Fraction(d)
         if (n * d).denominator != 1:
             warnings.warn(f"n*d = {n * d} is not an integer hole count", stacklevel=2)
-    elif d is not None:
-        raise ValueError("hole density only applies to the DENSITY kind")
-
-    sig = signature(p)
-    value = n ** (sig.s + 1) / math.factorial(sig.s + 1)
-    # one factor per distinct multiplicity, in first-occurrence order so the
-    # same variable's failure is raised first; the product keeps pattern order
-    factors = {k: _kind_factor(kind, m, k, d, eps) for k in dict.fromkeys(sig.repeated)}
-    consts = []
-    for k in sig.repeated:
-        factor, const = factors[k]
-        value *= factor
-        if const is not None:
-            consts.append(const)
+    try:
+        value = math.exp((sig.s + 1) * math.log(n) + ln_c)
+    except OverflowError:
+        value = math.inf
     return AsymptoticMean(value=value, kind=kind, sig=sig, m=m, n=n, d=d,
-                          abelian_factors=tuple(consts))
+                          abelian_factors=consts)
 
 
 def zeta(s: float, tol: float = 1e-12) -> float:

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .asymptotics import MeanKind, abelian_constant, DEFAULT_ABELIAN_EPS
+from .asymptotics import DEFAULT_ABELIAN_EPS, MeanKind, _ln_coefficient
 from .errors import BudgetExceededError
 from .genfunc import _occurrence_terms
 from .oracle import CountKind, population_size
@@ -182,48 +182,11 @@ def zimin_signature(i: int) -> PatternSignature:
     return PatternSignature(r=i, s=1, mults=tuple(2 ** j for j in range(i)))
 
 
-def _ln_factor(kind: MeanKind, m: int, k: int, d: Fraction | None, eps: float) -> float:
-    """ln of the avoidance-threshold factor for one repeated variable, stably."""
-    if kind is MeanKind.FULL:
-        # ln(m^(k-1) - 1)
-        if m < 2:
-            raise ValueError("full-word thresholds need at least two letters")
-        ln_main = (k - 1) * math.log(m)
-        return ln_main + math.log1p(-math.exp(-ln_main))
-    if kind in (MeanKind.PARTIAL, MeanKind.STRICT):
-        # ln((m+1)^k / (m 2^k - m + 1) - 1)
-        ln_a = k * math.log(m + 1)
-        ln_b = math.log(m) + k * math.log(2)
-        if k < 1020:  # below this the correction is representable at all
-            ln_b += math.log1p((1 - m) / (m * 2 ** k))
-        return ln_a - ln_b + math.log1p(-math.exp(ln_b - ln_a))
-    if kind is MeanKind.DENSITY:
-        # ln(m^(k-1) / ([1+d(m-1)]^k - (1-1/m)(md)^k) - 1)
-        df = float(d)
-        ln_fill = k * math.log1p(df * (m - 1))
-        ratio = (1 - 1 / m) * math.exp(k * (math.log(m * df) - math.log1p(df * (m - 1))))
-        ln_den = ln_fill + math.log1p(-ratio)
-        ln_num = (k - 1) * math.log(m)
-        if ln_den >= ln_num:
-            return -math.inf
-        return ln_num - ln_den + math.log1p(-math.exp(ln_den - ln_num))
-    if kind is MeanKind.ABELIAN:
-        return -math.log(abelian_constant(m, k, eps).value)
-    raise ValueError(f"unsupported kind {kind}")
-
-
 def _threshold_from_signature(kind: MeanKind, sig: PatternSignature, m: int,
                               d: Fraction | None, eps: float) -> float:
-    if kind is MeanKind.ABELIAN and m < 4:
-        raise ValueError("abelian thresholds need an alphabet of at least 4 letters")
-    if kind is MeanKind.DENSITY and (d is None or not 0 < d < 1):
-        raise ValueError("hole density d must lie strictly between 0 and 1")
-    ln_factors = {k: _ln_factor(kind, m, k, d, eps) for k in dict.fromkeys(sig.repeated)}
-    ln_total = math.lgamma(sig.s + 2)  # ln((s+1)!)
-    for k in sig.repeated:
-        ln_total += ln_factors[k]
+    ln_c, _ = _ln_coefficient(kind, sig, m, d, eps)
     try:
-        return math.exp(ln_total / (sig.s + 1))
+        return math.exp(-ln_c / (sig.s + 1))
     except OverflowError:
         return math.inf
 
@@ -234,8 +197,9 @@ def avoidance_threshold(kind: MeanKind, p: Pattern, m: int,
     """First-moment length bound: below it (up to the dropped vanishing factor)
     an avoiding word of the respective kind exists.
 
-    The bound is [(s+1)! * product of per-variable factors]^(1/(s+1)); with no
-    repeated variable the product is empty and the trivial bound remains.
+    The bound is the length C^(-1/(s+1)) where the leading-term mean C n^(s+1)
+    of asymptotics reaches 1 (inf past float range); with no repeated variable
+    C = 1/(s+1)! and the trivial bound remains.
     """
     return _threshold_from_signature(kind, signature(p), m, d, eps)
 

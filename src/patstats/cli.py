@@ -2,7 +2,8 @@
 
 Every invocation prints one record with the stable field set
 {command, kind, inputs, result, provenance} as JSON (default) or CSV.
-Exact values are emitted as decimal strings, never as floats.  Exit codes:
+Exact values are emitted as decimal strings, never as floats, and a non-finite
+float result as the string float() reads back ("inf").  Exit codes:
 0 success, 1 domain error (violated precondition, bad input), 2 budget or
 tolerance failure.
 """
@@ -13,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -56,6 +58,8 @@ def _parse_word(text: str, m: int, kind: CountKind, hole_char: str):
 def _format_value(value):
     if isinstance(value, bool) or value is None:
         return value
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)  # JSON has no Infinity
     if isinstance(value, (int, Fraction)):
         text = bounds._decimal(value.numerator)
         if value.denominator == 1:
@@ -70,7 +74,7 @@ def _format_value(value):
 
 def _emit(record: dict, fmt: str, output: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(record, indent=2, default=str)
+        text = json.dumps(record, indent=2, default=str, allow_nan=False)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,10 @@ from scipy.special import zeta as scipy_zeta
 
 from patstats.asymptotics import (MeanKind, abelian_constant,
                                   abelian_rs_approx_mean, mean_asymptotic, zeta)
+from patstats.bounds import avoidance_threshold
 from patstats.errors import ToleranceError
 from patstats.genfunc import multinomial_power_sum_enum
-from patstats.words import Pattern
+from patstats.words import Pattern, signature
 
 ABACABA = Pattern.from_text("abacaba")
 ABA = Pattern.from_text("aba")
@@ -54,6 +56,13 @@ def test_preconditions():
         mean_asymptotic(MeanKind.PARTIAL, P("aa"), 1, 10)
     with pytest.raises(ValueError):
         mean_asymptotic(MeanKind.FULL, ABA, 2, 10, d=Fraction(1, 2))
+
+
+def test_mean_past_float_range_is_inf():
+    # 10^(20 * 27) / 27! is far past float range: the mean reads inf instead of raising
+    p = P("abcdefghijklmnopqrstuvwxyz")
+    assert mean_asymptotic(MeanKind.FULL, p, 2, 10 ** 20).value == math.inf
+    assert mean_asymptotic(MeanKind.FULL, p, 2, 10 ** 4).value < math.inf
 
 
 def test_density_warns_on_fractional_hole_count():
@@ -182,3 +191,59 @@ def test_abelian_convergence_direction_m4():
         exact = Fraction(series.coeff(n), 4 ** n)
         ratios.append(float(exact) / (asym * n ** 2))
     assert ratios[0] < ratios[1] < ratios[2] < 1
+
+
+# --- one leading-term coefficient for the means and the thresholds -------------
+
+COEFFICIENT_PATTERNS = ["a", "ab", "aa", "aba", "abab", "aabbcc", "abacaba"]
+
+
+def _exact_factor(kind, m, k, d):
+    if kind is MeanKind.FULL:
+        return Fraction(1, m ** (k - 1) - 1)
+    if kind in (MeanKind.PARTIAL, MeanKind.STRICT):
+        num = m * 2 ** k - m + 1
+        return Fraction(num, (m + 1) ** k - num)
+    num = (1 + d * (m - 1)) ** k - Fraction(m - 1, m) * (m * d) ** k
+    return num / (m ** (k - 1) - num)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, ToleranceError) as exc:
+        return exc
+
+
+@pytest.mark.filterwarnings("ignore:n\\*d")
+@pytest.mark.parametrize("d", [None, Fraction(1, 10), Fraction(1, 3), Fraction(9, 10)], ids=str)
+@pytest.mark.parametrize("m", range(7))
+@pytest.mark.parametrize("kind", list(MeanKind), ids=lambda kind: kind.value)
+def test_means_and_thresholds_share_one_coefficient(kind, m, d):
+    eps = 0.1  # the abelian factors at m = 5 reach it within a few hundred terms
+    for text in COEFFICIENT_PATTERNS:
+        p = P(text)
+        sig = signature(p)
+        mean = _outcome(lambda: mean_asymptotic(kind, p, m, 1, d=d, eps=eps).value)
+        threshold = _outcome(lambda: avoidance_threshold(kind, p, m, d=d, eps=eps))
+        if kind is MeanKind.DENSITY and m == 1 and sig.repeated and d is not None:
+            # the density factor's denominator vanishes over one letter: the
+            # mean has no leading term of order n^(s+1), and the threshold
+            # reads the infinite coefficient as the vacuous bound 0
+            assert isinstance(mean, ValueError) and threshold == 0.0, text
+            continue
+        # the same input checks decide for both
+        assert type(mean) is type(threshold), (text, mean, threshold)
+        if isinstance(mean, Exception):
+            continue
+        # the threshold is the length where the leading-term mean reaches 1
+        assert mean * threshold ** (sig.s + 1) == pytest.approx(1, rel=1e-12), text
+        if kind is MeanKind.ABELIAN:
+            continue
+        coefficient = Fraction(1, math.factorial(sig.s + 1))
+        for k in sig.repeated:
+            coefficient *= _exact_factor(kind, m, k, d)
+        for n in (1, 7, 100):
+            got = mean_asymptotic(kind, p, m, n, d=d).value
+            expected = float(coefficient * n ** (sig.s + 1))
+            assert got == pytest.approx(expected, rel=1e-12), (text, n)

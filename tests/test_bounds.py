@@ -217,6 +217,13 @@ def test_threshold_kind_preconditions():
         zimin_lower(MeanKind.PARTIAL, 4, 3)
     with pytest.raises(ValueError):
         zimin_lower(MeanKind.FULL, 4, 1)
+    # "ab" has no repeated variable, so no factor is evaluated: the shared check rejects m = 0
+    with pytest.raises(ValueError, match="alphabet size"):
+        avoidance_threshold(MeanKind.FULL, P("ab"), 0)
+    with pytest.raises(ValueError, match="only applies to the DENSITY kind"):
+        avoidance_threshold(MeanKind.FULL, P("aa"), 2, d=Fraction(1, 10))
+    with pytest.raises(ValueError, match="only applies to the DENSITY kind"):
+        zimin_lower(MeanKind.FULL, 12, 3, d=Fraction(1, 10))
 
 
 # --- exact thresholds ---------------------------------------------------------------

@@ -117,6 +117,35 @@ def test_exact_bounds_print_every_digit(capsys, argv, expected):
         sys.set_int_max_str_digits(limit)
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "zimin-lower", "--kind", "full", "-m", "2", "-i", "60"),
+    ("stats", "--kind", "full", "-p", "abcdefghijklmnopqrstuvwxyz", "-m", "2",
+     "-n", "100000000000000000000"),
+], ids=["zimin-lower-full-2-60", "stats-full-past-float-range"])
+def test_non_finite_results_print_as_strict_json(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    record = json.loads(out, parse_constant=_no_constant)
+    assert record["result"] == "inf"
+    assert float(record["result"]) == float("inf")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "threshold", "--kind", "full", "-p", "ab", "-m", "0"),
+    ("bounds", "threshold", "--kind", "full", "-p", "aa", "-m", "2", "-d", "1/10"),
+], ids=["empty-alphabet", "density-outside-density-kind"])
+def test_threshold_input_checks_match_the_means(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.strip().startswith("error:")
+    stats = ["stats", "-n", "10", *argv[2:]]
+    assert run(capsys, *stats)[0] == 1
+
+
 def test_hole_char_override(capsys):
     record = run_json(capsys, "--hole-char", "?", "oracle", "count",
                       "--kind", "partial-morphism", "-w", "??", "-p", "aa", "-m", "2")
