@@ -66,22 +66,52 @@ class AsymptoticMean:
     abelian_factors: tuple[AbelianConstant, ...] = ()
 
 
-def _abelian_tail_bound(m: int, last: int) -> float:
-    # integral bound for sum_{l > last} m^(m/2) (4 pi l)^((1-m)/2); finite only for m >= 4
+def _abelian_tail_bound(m: int, k: int, last: int) -> float:
+    # integral bound for sum_{l > last} m^(m/2) (4 pi l)^((1-m)/2), the envelope of the
+    # k = 2 terms; finite only for m >= 4.  A term is sum p^k over the multinomial
+    # probabilities p, at most p_max^(k-2) sum p^2, and p_max never grows with l.
     log_bound = (0.5 * m * math.log(m)
                  + 0.5 * (1 - m) * math.log(4 * math.pi)
                  + 0.5 * (3 - m) * math.log(last)
                  + math.log(2.0 / (m - 3)))
-    return math.exp(log_bound)
+    bound = math.exp(log_bound)
+    if k > 2:
+        bound *= _mode_probability(m, last + 1) ** (k - 2)
+    return bound
+
+
+def _mode_probability(m: int, ell: int) -> float:
+    """The largest multinomial probability ell!/(n_1! ... n_m!)/m^ell, rounded up.
+
+    The most balanced composition (parts q and q + 1, with q, r = divmod(ell, m))
+    attains it.
+    """
+    q, r = divmod(ell, m)
+    num = math.factorial(ell)
+    den = math.factorial(q) ** (m - r) * math.factorial(q + 1) ** r * m ** ell
+    value = num / den
+    a, b = value.as_integer_ratio()
+    return value if a * den >= num * b else math.nextafter(value, math.inf)
+
+
+def _ln_mode_probability_below(m: int, ell: int) -> float:
+    # ln of _mode_probability from lgamma, shifted down past its rounding error;
+    # only decides when to give up
+    q, r = divmod(ell, m)
+    return (math.lgamma(ell + 1) - (m - r) * math.lgamma(q + 1) - r * math.lgamma(q + 2)
+            - ell * math.log(m) - 1e-6)
 
 
 def abelian_constant(m: int, k: int, eps: float = DEFAULT_ABELIAN_EPS) -> AbelianConstant:
     """sum_{l>=1} M(l, m, k)/m^(kl), truncated once the tail is provably below eps.
 
     Terms are exact integers converted one at a time; summation stops at the
-    first l where both the integral tail bound and the last included term fall
-    below eps relative to the partial sum.  Hitting the term cap first raises
-    ToleranceError carrying the partial sum.
+    first l where both the tail bound and the last included term fall below
+    eps relative to the partial sum.  The tail bound is the integral bound on
+    the k = 2 envelope, times p_max(l+1)^(k-2) for k > 2, where p_max(l) is the
+    largest multinomial probability of length l, so higher powers stop after
+    a few terms.  Hitting the term cap first, or a bound that cannot reach eps
+    even there, raises ToleranceError carrying the partial sum.
     """
     if m < 4:
         raise ValueError("abelian factors need an alphabet of at least 4 letters")
@@ -92,14 +122,15 @@ def abelian_constant(m: int, k: int, eps: float = DEFAULT_ABELIAN_EPS) -> Abelia
     total = 0.0
     step = m ** k
     denom = 1
-    floor = _abelian_tail_bound(m, ABELIAN_TERM_CAP)
+    floor = _abelian_tail_bound(m, 2, ABELIAN_TERM_CAP) * math.exp(
+        (k - 2) * _ln_mode_probability_below(m, ABELIAN_TERM_CAP + 1))
     weights = _mps_terms(m, k)
     next(weights)  # M(0, m, k) = 1 is not a term of the sum
     for ell, weight in zip(range(1, ABELIAN_TERM_CAP + 1), weights):
         denom *= step
         term = weight / denom
         total += term
-        tail = _abelian_tail_bound(m, ell)
+        tail = _abelian_tail_bound(m, k, ell)
         if tail <= eps * total and term <= eps * total:
             return AbelianConstant(total, ell, tail, eps)
         # the bound can never drop below its value at the cap, and the sum

@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from scipy.special import zeta as scipy_zeta
 
-from patstats.asymptotics import (MeanKind, abelian_constant,
+from patstats.asymptotics import (ABELIAN_TERM_CAP, MeanKind, _ln_mode_probability_below,
+                                  _mode_probability, abelian_constant,
                                   abelian_rs_approx_mean, mean_asymptotic, zeta)
 from patstats.bounds import avoidance_threshold
 from patstats.errors import ToleranceError
-from patstats.genfunc import multinomial_power_sum_enum
+from patstats.genfunc import _mps_terms, multinomial_power_sum_enum
 from patstats.words import Pattern, signature
 
 ABACABA = Pattern.from_text("abacaba")
@@ -101,10 +103,76 @@ def test_abelian_constant_rejects_small_alphabet():
 
 
 def test_abelian_constant_tolerance_failure_carries_partial_sum():
-    # for m = 4 the k-independent tail bound cannot reach 1e-9 under the cap
+    # for m = 4, k = 2 the tail bound cannot reach 1e-9 under the cap
     with pytest.raises(ToleranceError) as err:
         abelian_constant(4, 2, 1e-9)
     assert err.value.partial > 0
+
+
+# The tail bound's premises, from exact integer terms: the k = 2 terms lie under the
+# envelope m^(m/2) (4 pi l)^((1-m)/2), and a k-th power term is at most the
+# mode probability to the power k - 2 times the k = 2 term, where the mode
+# probability never grows with l.
+
+def _balanced_multinomial(ell, m):
+    q, r = divmod(ell, m)
+    return math.factorial(ell) // (math.factorial(q) ** (m - r) * math.factorial(q + 1) ** r)
+
+
+def _compositions(ell, m):
+    if m == 1:
+        yield (ell,)
+        return
+    for first in range(ell + 1):
+        for rest in _compositions(ell - first, m - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_mode_probability_is_the_largest_multinomial_probability(m):
+    for ell in range(1, 13):
+        largest = max(Fraction(math.factorial(ell), math.prod(map(math.factorial, parts)))
+                      for parts in _compositions(ell, m)) / m ** ell
+        got = _mode_probability(m, ell)
+        # rounded up: the float is the smallest one at or above the exact maximum
+        assert Fraction(got) >= largest > Fraction(math.nextafter(got, 0)), (m, ell)
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_mode_probability_never_grows(m):
+    for ell in range(1, 300):
+        # P(l+1)/m^(l+1) <= P(l)/m^l
+        assert _balanced_multinomial(ell + 1, m) <= m * _balanced_multinomial(ell, m), (m, ell)
+        assert _mode_probability(m, ell + 1) <= _mode_probability(m, ell), (m, ell)
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_bail_out_mode_estimate_stays_below(m):
+    # the bail-out floor must not exceed the tail bound at the term cap
+    for ell in (1, 7, 300, ABELIAN_TERM_CAP + 1):
+        exact = math.log(_mode_probability(m, ell))
+        assert exact - 1e-5 < _ln_mode_probability_below(m, ell) < exact, (m, ell)
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_power_terms_under_mode_times_square_terms(m):
+    squares = list(islice(_mps_terms(m, 2), 61))
+    for k in range(3, 6):
+        for ell, weight in enumerate(islice(_mps_terms(m, k), 61)):
+            assert weight <= _balanced_multinomial(ell, m) ** (k - 2) * squares[ell], (m, k, ell)
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_square_terms_under_the_envelope(m):
+    # t_2(l) = M(l, m, 2)/m^(2l) against m^(m/2) (4 pi l)^((1-m)/2), compared in
+    # logs; the closest approach on this range is a ratio of 0.9955 (m = 12)
+    # to 0.9988 (m = 4), at l = 300
+    ln_m = math.log(m)
+    for ell, weight in enumerate(islice(_mps_terms(m, 2), 301)):
+        if ell:
+            ln_term = math.log(weight) - 2 * ell * ln_m
+            ln_envelope = 0.5 * m * ln_m + 0.5 * (1 - m) * math.log(4 * math.pi * ell)
+            assert ln_term < ln_envelope, (m, ell)
 
 
 def test_abelian_mean_uses_the_constant():

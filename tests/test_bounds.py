@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from patstats.asymptotics import MeanKind
+from patstats.asymptotics import MeanKind, abelian_constant
 from patstats.bounds import (BoundValue, ZiminUpperMode, avoidance_threshold,
                              double_uparrow, exact_avoidance_threshold,
                              zimin_lower, zimin_signature, zimin_upper)
@@ -194,6 +194,16 @@ def test_zimin_lower_abelian_runs():
     v = zimin_lower(MeanKind.ABELIAN, 12, 3, eps=1e-6)
     assert v > zimin_lower(MeanKind.FULL, 12, 3) * 0  # positive and finite
     assert math.isfinite(v)
+
+
+@pytest.mark.parametrize("i", [5, 6])
+def test_zimin_lower_abelian_high_multiplicity_stops_early(i):
+    # the factor at k = 2^(i-1) is a sum near 12^(1-k); only the mode
+    # probability's power k - 2 brings the tail bound below eps times it
+    v = zimin_lower(MeanKind.ABELIAN, 12, i, eps=1e-3)
+    assert v > zimin_lower(MeanKind.ABELIAN, 12, i - 1, eps=1e-3)
+    assert math.isfinite(v)
+    assert abelian_constant(12, 2 ** (i - 1), 1e-3).terms <= 3
 
 
 def test_zimin_lower_huge_index_overflows_to_inf():
