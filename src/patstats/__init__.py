@@ -13,15 +13,14 @@ from .bounds import (BoundValue, ZiminUpperMode, avoidance_threshold,
                      double_uparrow, exact_avoidance_threshold, zimin_lower,
                      zimin_signature, zimin_upper)
 from .errors import BudgetExceededError, ToleranceError
-from .genfunc import (coeff, multinomial_power_sum, multinomial_power_sum_enum,
-                      ogf_bivariate, ogf_build)
+from .genfunc import coeff, multinomial_power_sum, ogf_bivariate, ogf_build
 from .oracle import (CountKind, count, count_abelian, count_full, count_partial,
                      mean_exact, population_size, total_count)
 from .search import (SearchBudget, SearchOutcome, SearchStatus,
                      exact_ramsey_length, find_avoiding)
 from .series import BivariateSeries, Series
-from .words import (HOLE, Morphism, Pattern, PatternSignature, PartialWord,
-                    Word, apply_morphism, compatible, signature, zimin)
+from .words import (HOLE, Pattern, PatternSignature, PartialWord, Word,
+                    signature, zimin)
 
 __version__ = "0.1.0"
 
@@ -31,13 +30,12 @@ __all__ = [
     "BoundValue", "ZiminUpperMode", "avoidance_threshold", "double_uparrow",
     "exact_avoidance_threshold", "zimin_lower", "zimin_signature", "zimin_upper",
     "BudgetExceededError", "ToleranceError",
-    "coeff", "multinomial_power_sum", "multinomial_power_sum_enum",
-    "ogf_bivariate", "ogf_build",
+    "coeff", "multinomial_power_sum", "ogf_bivariate", "ogf_build",
     "CountKind", "count", "count_abelian", "count_full", "count_partial",
     "mean_exact", "population_size", "total_count",
     "SearchBudget", "SearchOutcome", "SearchStatus", "exact_ramsey_length",
     "find_avoiding",
     "BivariateSeries", "Series",
-    "HOLE", "Morphism", "Pattern", "PatternSignature", "PartialWord", "Word",
-    "apply_morphism", "compatible", "signature", "zimin",
+    "HOLE", "Pattern", "PatternSignature", "PartialWord", "Word", "signature",
+    "zimin",
 ]

@@ -233,18 +233,15 @@ def _run_coeff(args) -> dict:
     inputs = {"pattern": args.pattern, "m": args.alphabet, "n": args.index,
               "holes": args.holes, "order": order}
     if args.kind == "bivariate":
-        if args.holes is None:
-            raise CliError("bivariate coefficients need --holes")
         series = genfunc.ogf_bivariate(p, args.alphabet, order)
-        value = series.coeff_hole(args.index, args.holes)
-        return _record("coeff", args.kind, inputs, value,
-                       "exact coefficient of the hole-marked series")
-    ser_kind = {"full": CountKind.FULL, "partial": CountKind.PARTIAL_COLLAPSED,
-                "abelian": CountKind.ABELIAN}[args.kind]
-    series = genfunc.ogf_build(ser_kind, p, args.alphabet, order)
-    value = genfunc.coeff(series, args.index)
-    return _record("coeff", args.kind, inputs, value,
-                   "exact coefficient of the occurrence-total series")
+        provenance = "exact coefficient of the hole-marked series"
+    else:
+        ser_kind = {"full": CountKind.FULL, "partial": CountKind.PARTIAL_COLLAPSED,
+                    "abelian": CountKind.ABELIAN}[args.kind]
+        series = genfunc.ogf_build(ser_kind, p, args.alphabet, order)
+        provenance = "exact coefficient of the occurrence-total series"
+    value = genfunc.coeff(series, args.index, args.holes)
+    return _record("coeff", args.kind, inputs, value, provenance)
 
 
 def _run_stats(args) -> dict:
@@ -252,6 +249,8 @@ def _run_stats(args) -> dict:
     d = _parse_fraction(args.density) if args.density is not None else None
     inputs = {"pattern": args.pattern, "m": args.alphabet, "n": args.length, "d": d}
     if args.kind == "abelian-rs":
+        if d is not None:
+            raise CliError("abelian-rs takes no density")
         value = asymptotics.abelian_rs_approx_mean(p, args.alphabet, args.length)
         return _record("stats", args.kind, inputs, value,
                        "abelian mean via the large-block envelope")
@@ -286,10 +285,9 @@ def _run_bounds(args) -> dict:
         inputs = {"pattern": args.pattern, "m": args.alphabet, "d": d}
         return _record("bounds threshold", args.kind, inputs, value,
                        "first-moment avoidance length bound")
-    kind = {"full": CountKind.FULL, "abelian": CountKind.ABELIAN,
-            "partial-collapsed": CountKind.PARTIAL_COLLAPSED}[args.kind]
     p = Pattern.from_text(args.pattern)
-    value = bounds.exact_avoidance_threshold(kind, p, args.alphabet, args.n_max)
+    value = bounds.exact_avoidance_threshold(_COUNT_KINDS[args.kind], p, args.alphabet,
+                                             args.n_max)
     inputs = {"pattern": args.pattern, "m": args.alphabet, "n_max": args.n_max}
     return _record("bounds exact-threshold", args.kind, inputs, value,
                    "largest length with exact mean occurrence count below 1")

@@ -92,23 +92,6 @@ def multinomial_power_sum(length: int, m: int, k: int) -> int:
     return next(islice(_mps_terms(m, k), length, None))
 
 
-def multinomial_power_sum_enum(length: int, m: int, k: int) -> int:
-    """Direct composition-enumeration mode, kept as an independent cross-check."""
-    from math import factorial
-
-    if length < 1 or m < 1 or k < 1:
-        raise ValueError("multinomial power sum needs length, m, k all >= 1")
-    fact = [factorial(i) for i in range(length + 1)]
-
-    def walk(parts_left: int, remaining: int, denom: int) -> int:
-        if parts_left == 1:
-            return (fact[length] // (denom * fact[remaining])) ** k
-        return sum(walk(parts_left - 1, remaining - i, denom * fact[i])
-                   for i in range(remaining + 1))
-
-    return walk(m, length, 1)
-
-
 def _ratio_terms(num: Iterable[int], den: list[int]) -> Iterator[int]:
     """[z^n] N(z)/D(z) for n = 0, 1, 2, ..., where D(0) = 1.
 

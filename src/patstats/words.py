@@ -8,7 +8,6 @@ so alphabets larger than 26 letters work and hot loops never touch strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 #: Sentinel for an undefined position in a partial word.
 HOLE = -1
@@ -167,58 +166,6 @@ class PartialWord:
     def holes(self) -> int:
         return sum(c == HOLE for c in self.chars)
 
-    @property
-    def density(self) -> float:
-        return self.holes / len(self.chars)
-
-    def completions(self):
-        """Yield every full word obtained by filling the holes with letters."""
-        positions = [i for i, c in enumerate(self.chars) if c == HOLE]
-        base = list(self.chars)
-        for fill in product(range(self.m), repeat=len(positions)):
-            for pos, letter in zip(positions, fill):
-                base[pos] = letter
-            yield Word(tuple(base), self.m)
-
     def __len__(self) -> int:
         return len(self.chars)
 
-
-def compatible(u: PartialWord, v: PartialWord) -> bool:
-    """True iff u and v agree at every position where both are defined."""
-    if len(u) != len(v):
-        raise ValueError("compatibility requires equal lengths")
-    if u.m != v.m:
-        raise ValueError("compatibility requires the same alphabet")
-    return all(a == HOLE or b == HOLE or a == b for a, b in zip(u.chars, v.chars))
-
-
-@dataclass(frozen=True)
-class Morphism:
-    """A nonerasing substitution: every variable maps to a nonempty word."""
-
-    images: dict[int, Word]
-
-    def __post_init__(self):
-        if not self.images:
-            raise ValueError("morphism needs at least one image")
-        sizes = {w.m for w in self.images.values()}
-        if len(sizes) != 1:
-            raise ValueError("all images must share one alphabet")
-        if any(len(w) == 0 for w in self.images.values()):
-            raise ValueError("morphism must be nonerasing (no empty image)")
-
-    @property
-    def m(self) -> int:
-        return next(iter(self.images.values())).m
-
-
-def apply_morphism(h: Morphism, p: Pattern) -> Word:
-    """Concatenate the images of the pattern's variables in pattern order."""
-    missing = set(p.symbols) - set(h.images)
-    if missing:
-        raise ValueError(f"morphism lacks images for variables {sorted(missing)}")
-    letters: list[int] = []
-    for s in p.symbols:
-        letters.extend(h.images[s].letters)
-    return Word(tuple(letters), h.m)

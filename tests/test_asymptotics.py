@@ -10,8 +10,9 @@ from patstats.asymptotics import (ABELIAN_TERM_CAP, MeanKind, _ln_mode_probabili
                                   abelian_rs_approx_mean, mean_asymptotic, zeta)
 from patstats.bounds import avoidance_threshold
 from patstats.errors import ToleranceError
-from patstats.genfunc import _mps_terms, multinomial_power_sum_enum
+from patstats.genfunc import _mps_terms
 from patstats.words import Pattern, signature
+from references import multinomial_power_sum_enum
 
 ABACABA = Pattern.from_text("abacaba")
 ABA = Pattern.from_text("aba")

@@ -166,6 +166,18 @@ def test_exit_code_domain_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("coeff", "--kind", "full", "-p", "aa", "-m", "2", "-n", "3", "--holes", "1"),
+    ("coeff", "--kind", "bivariate", "-p", "aa", "-m", "2", "-n", "2"),
+    ("stats", "--kind", "abelian-rs", "-p", "aba", "-m", "12", "-n", "100", "-d", "1/10"),
+], ids=["holes-on-univariate", "bivariate-without-holes", "density-on-abelian-rs"])
+def test_exit_code_input_the_kind_cannot_use(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.strip().startswith("error:")
+
+
 def test_exit_code_unknown_flag(capsys):
     code, out, err = run(capsys, "oracle", "count", "--kind", "full",
                          "-w", "ab", "-p", "a", "-m", "2", "--bogus")

@@ -34,11 +34,11 @@ from patstats.asymptotics import MeanKind, abelian_constant, mean_asymptotic
 from patstats.bounds import (DEFAULT_DIGIT_CAP, _decimal, _reaches_cap, avoidance_threshold,
                              exact_avoidance_threshold)
 from patstats.errors import ToleranceError
-from patstats.genfunc import (_mps_terms, multinomial_power_sum, multinomial_power_sum_enum,
-                              ogf_bivariate, ogf_build)
+from patstats.genfunc import _mps_terms, multinomial_power_sum, ogf_bivariate, ogf_build
 from patstats.oracle import PARTIAL_KINDS, CountKind, _iter_chars, _walker, total_count
 from patstats.search import exact_ramsey_length, find_avoiding
 from patstats.words import HOLE, Pattern, signature
+from references import multinomial_power_sum_enum
 
 
 # --- the digit-cap decision -----------------------------------------------------

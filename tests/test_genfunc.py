@@ -2,10 +2,10 @@ from math import comb
 
 import pytest
 
-from patstats.genfunc import (coeff, multinomial_power_sum,
-                              multinomial_power_sum_enum, ogf_bivariate, ogf_build)
+from patstats.genfunc import coeff, multinomial_power_sum, ogf_bivariate, ogf_build
 from patstats.oracle import CountKind, total_count
 from patstats.words import Pattern
+from references import multinomial_power_sum_enum
 
 FULL = CountKind.FULL
 ABELIAN = CountKind.ABELIAN
