@@ -16,8 +16,8 @@ from .errors import BudgetExceededError, ToleranceError
 from .genfunc import coeff, multinomial_power_sum, ogf_bivariate, ogf_build
 from .oracle import (CountKind, count, count_abelian, count_full, count_partial,
                      mean_exact, population_size, total_count)
-from .search import (SearchBudget, SearchOutcome, SearchStatus,
-                     exact_ramsey_length, find_avoiding)
+from .search import (SearchOutcome, SearchStatus, exact_ramsey_length,
+                     find_avoiding)
 from .series import BivariateSeries, Series
 from .words import (HOLE, Pattern, PatternSignature, PartialWord, Word,
                     signature, zimin)
@@ -33,8 +33,7 @@ __all__ = [
     "coeff", "multinomial_power_sum", "ogf_bivariate", "ogf_build",
     "CountKind", "count", "count_abelian", "count_full", "count_partial",
     "mean_exact", "population_size", "total_count",
-    "SearchBudget", "SearchOutcome", "SearchStatus", "exact_ramsey_length",
-    "find_avoiding",
+    "SearchOutcome", "SearchStatus", "exact_ramsey_length", "find_avoiding",
     "BivariateSeries", "Series",
     "HOLE", "Pattern", "PatternSignature", "PartialWord", "Word", "signature",
     "zimin",

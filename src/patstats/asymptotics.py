@@ -149,8 +149,8 @@ def _ln_factor(kind: MeanKind, m: int, k: int, d: Fraction | None,
     """ln F(k) for one repeated variable of multiplicity k, and its abelian constant.
 
     Evaluated in log space, so k may be far too large for m^k to be built (the
-    Zimin signatures reach k = 2^(i-1)).  A vanishing density denominator gives
-    +inf: the mean then outgrows n^(s+1).
+    Zimin signatures reach k = 2^(i-1)).  A vanishing density denominator
+    raises: the mean then outgrows n^(s+1) and has no leading term of that order.
     """
     if kind is MeanKind.FULL:
         # -ln(m^(k-1) - 1)
@@ -175,7 +175,8 @@ def _ln_factor(kind: MeanKind, m: int, k: int, d: Fraction | None,
         ln_den = ln_fill + math.log1p(-ratio)
         ln_num = (k - 1) * math.log(m)
         if ln_den >= ln_num:
-            return math.inf, None
+            raise ValueError("density factor denominator vanished "
+                             "(one-letter alphabet or d too close to 1)")
         return ln_den - ln_num - math.log1p(-math.exp(ln_den - ln_num)), None
     if kind is MeanKind.ABELIAN:
         const = abelian_constant(m, k, eps)
@@ -221,9 +222,6 @@ def mean_asymptotic(kind: MeanKind, p: Pattern, m: int, n: int,
         raise ValueError("word length must be >= 1")
     sig = signature(p)
     ln_c, consts = _ln_coefficient(kind, sig, m, d, eps)
-    if ln_c == math.inf:  # no leading term of order n^(s+1); a threshold reads it as 0
-        raise ValueError("density factor denominator vanished "
-                         "(one-letter alphabet or d too close to 1)")
     if d is not None:
         d = Fraction(d)
         if (n * d).denominator != 1:

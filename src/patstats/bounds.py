@@ -218,25 +218,23 @@ def zimin_lower(kind: MeanKind, m: int, i: int, d: Fraction | None = None,
     return _threshold_from_signature(kind, zimin_signature(i), m, d, eps)
 
 
-def exact_avoidance_threshold(kind: CountKind, p: Pattern, m: int, n_max: int,
-                              series_budget: int = DEFAULT_SERIES_BUDGET) -> int:
+def exact_avoidance_threshold(kind: CountKind, p: Pattern, m: int, n_max: int) -> int:
     """Largest n <= n_max with exact mean occurrence count < 1 for every n' <= n.
 
     Occurrence counts are integers, so a mean below 1 guarantees an avoiding
     object of that length; the totals come from the exact series and the
     populations are counted in closed form, making this bound rigorous.  The
     totals are read one length at a time, and the first mean of at least 1
-    (total >= population) ends the scan.
+    (total >= population) ends the scan.  An n_max above DEFAULT_SERIES_BUDGET
+    raises BudgetExceededError.
     """
-    if kind not in (CountKind.FULL, CountKind.ABELIAN, CountKind.PARTIAL_COLLAPSED):
-        raise ValueError("exact thresholds cover FULL, ABELIAN, and PARTIAL_COLLAPSED")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > series_budget:
+    totals = _occurrence_terms(kind, p, m, n_max)  # checks the kind and m
+    if n_max > DEFAULT_SERIES_BUDGET:
         raise BudgetExceededError(
-            f"series order {n_max} exceeds the budget of {series_budget}",
-            needed=n_max, budget=series_budget)
-    totals = _occurrence_terms(kind, p, m, n_max)
+            f"series order {n_max} exceeds the budget of {DEFAULT_SERIES_BUDGET}",
+            needed=n_max, budget=DEFAULT_SERIES_BUDGET)
     next(totals)  # length 0
     for n, total in enumerate(totals, 1):
         if total >= population_size(kind, n, m):

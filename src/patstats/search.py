@@ -18,14 +18,7 @@ from .errors import BudgetExceededError
 from .oracle import CountKind, PARTIAL_KINDS, _walker, count
 from .words import HOLE, Pattern, PartialWord, Word
 
-
-@dataclass(frozen=True)
-class SearchBudget:
-    max_nodes: int = 2_000_000
-
-    def __post_init__(self):
-        if self.max_nodes < 1:
-            raise ValueError("budget must allow at least one node")
+DEFAULT_NODE_BUDGET = 2_000_000
 
 
 class SearchStatus(enum.Enum):
@@ -42,7 +35,7 @@ class SearchOutcome:
 
 
 def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
-            holes: int | None, max_nodes: int
+            holes: int | None, budget: int
             ) -> tuple[SearchStatus, list[int], int, int]:
     """Depth-first search for a length-`length` word avoiding syms under `kind`.
 
@@ -50,6 +43,8 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
     nodes counts the characters tried, the one past the budget included, and
     deepest is the length of the longest avoiding prefix reached.
     """
+    if budget < 1:
+        raise ValueError("budget must allow at least one node")
     occurrences = _walker(kind, m, syms)
     partial = kind in PARTIAL_KINDS
     chars: list[int] = []
@@ -73,7 +68,7 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
             return SearchStatus.FOUND
         for c in candidates(depth, used_holes):
             nodes += 1
-            if nodes > max_nodes:
+            if nodes > budget:
                 return SearchStatus.BUDGET_EXCEEDED
             chars.append(c)
             if not occurrences(chars, depth + 1):
@@ -89,7 +84,7 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
 
 def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,
                   holes: int | None = None,
-                  budget: SearchBudget | None = None) -> SearchOutcome:
+                  budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """Depth-first search for a length-`length` word avoiding p under `kind`.
 
     For partial kinds the hole behaves as an extra character; when `holes` is
@@ -104,8 +99,7 @@ def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,
             raise ValueError("hole budget only applies to partial kinds")
         if not 0 <= holes <= length:
             raise ValueError("holes must lie in [0, length]")
-    budget = budget or SearchBudget()
-    status, chars, nodes, _ = _search(kind, p.symbols, m, length, holes, budget.max_nodes)
+    status, chars, nodes, _ = _search(kind, p.symbols, m, length, holes, budget)
     if status is SearchStatus.FOUND:
         witness = (PartialWord if kind in PARTIAL_KINDS else Word)(tuple(chars), m)
         if count(kind, witness, p) != 0:
@@ -115,7 +109,7 @@ def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,
 
 
 def exact_ramsey_length(kind: CountKind, p: Pattern, m: int, n_max: int,
-                        budget: SearchBudget | None = None) -> int | None:
+                        budget: int = DEFAULT_NODE_BUDGET) -> int | None:
     """Smallest L <= n_max such that every length-L word encounters p, or None.
 
     Computed by one depth-first search for the deepest avoiding prefix; the
@@ -127,12 +121,10 @@ def exact_ramsey_length(kind: CountKind, p: Pattern, m: int, n_max: int,
         raise ValueError("exact forcing lengths cover FULL and ABELIAN")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    budget = budget or SearchBudget()
-    status, _, nodes, deepest = _search(kind, p.symbols, m, n_max, None, budget.max_nodes)
+    status, _, nodes, deepest = _search(kind, p.symbols, m, n_max, None, budget)
     if status is SearchStatus.BUDGET_EXCEEDED:
-        raise BudgetExceededError(
-            f"forcing-length search exceeded {budget.max_nodes} nodes",
-            needed=nodes, budget=budget.max_nodes)
+        raise BudgetExceededError(f"forcing-length search exceeded {budget} nodes",
+                                  needed=nodes, budget=budget)
     if status is SearchStatus.FOUND:
         return None
     return deepest + 1

@@ -5,7 +5,7 @@ import patstats
 PUBLIC_NAMES = [
     "AbelianConstant", "AsymptoticMean", "BivariateSeries", "BoundValue",
     "BudgetExceededError", "CountKind", "HOLE", "MeanKind", "PartialWord",
-    "Pattern", "PatternSignature", "SearchBudget", "SearchOutcome", "SearchStatus",
+    "Pattern", "PatternSignature", "SearchOutcome", "SearchStatus",
     "Series", "ToleranceError", "Word", "ZiminUpperMode", "abelian_constant",
     "abelian_rs_approx_mean", "avoidance_threshold", "coeff", "count",
     "count_abelian", "count_full", "count_partial", "double_uparrow",

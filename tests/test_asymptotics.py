@@ -295,12 +295,6 @@ def test_means_and_thresholds_share_one_coefficient(kind, m, d):
         sig = signature(p)
         mean = _outcome(lambda: mean_asymptotic(kind, p, m, 1, d=d, eps=eps).value)
         threshold = _outcome(lambda: avoidance_threshold(kind, p, m, d=d, eps=eps))
-        if kind is MeanKind.DENSITY and m == 1 and sig.repeated and d is not None:
-            # the density factor's denominator vanishes over one letter: the
-            # mean has no leading term of order n^(s+1), and the threshold
-            # reads the infinite coefficient as the vacuous bound 0
-            assert isinstance(mean, ValueError) and threshold == 0.0, text
-            continue
         # the same input checks decide for both
         assert type(mean) is type(threshold), (text, mean, threshold)
         if isinstance(mean, Exception):

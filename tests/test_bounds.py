@@ -255,7 +255,7 @@ def test_exact_threshold_reaches_pattern_length():
 
 def test_exact_threshold_budget():
     with pytest.raises(BudgetExceededError):
-        exact_avoidance_threshold(CountKind.FULL, P("aa"), 2, 10, series_budget=5)
+        exact_avoidance_threshold(CountKind.FULL, P("aa"), 2, 2001)
 
 
 def test_exact_threshold_other_kinds_run():

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import patstats
 from patstats.cli import main
 
 REQUIRED_FIELDS = {"command", "kind", "inputs", "result", "provenance"}
@@ -137,7 +141,8 @@ def test_non_finite_results_print_as_strict_json(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("bounds", "threshold", "--kind", "full", "-p", "ab", "-m", "0"),
     ("bounds", "threshold", "--kind", "full", "-p", "aa", "-m", "2", "-d", "1/10"),
-], ids=["empty-alphabet", "density-outside-density-kind"])
+    ("bounds", "threshold", "--kind", "density", "-p", "aa", "-m", "1", "-d", "1/10"),
+], ids=["empty-alphabet", "density-outside-density-kind", "vanishing-density-denominator"])
 def test_threshold_input_checks_match_the_means(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -222,15 +227,6 @@ def test_csv_format(capsys):
     assert "34" in lines[1]
 
 
-def test_output_file(tmp_path, capsys):
-    target = tmp_path / "record.json"
-    code, out, err = run(capsys, "--output", str(target), "bounds", "uparrow",
-                         "-x", "2", "-y", "3")
-    assert code == 0
-    record = json.loads(target.read_text())
-    assert record["result"] == "16"
-
-
 def test_json_round_trip_is_lossless(capsys):
     record = run_json(capsys, "oracle", "mean", "--kind", "partial-collapsed",
                       "-p", "aa", "-m", "2", "-n", "2", "--strict")
@@ -251,3 +247,78 @@ def test_reproduce_emits_all_lines_and_exit_reflects_tolerances(capsys):
     assert [r["name"] for r in bad] == ["mean-density-abacaba-m12-n100-d1/10"]
     assert code == 2
     assert "count-full-ones8-aba" in names
+
+# One cheap argv per leaf command: each record's fields other than its result,
+# so a handler wired to the wrong command shows.
+RECORD_CASES = [
+    ("oracle count --kind partial-morphism -w a.b -p aa -m 2", 0, "oracle count",
+     "partial-morphism", {"word": "a.b", "pattern": "aa", "m": 2},
+     "brute-force occurrence count"),
+    ("oracle total --kind partial-collapsed -p aa -m 2 -n 3 --holes 1", 0, "oracle total",
+     "partial-collapsed", {"n": 3, "m": 2, "pattern": "aa", "holes": 1},
+     "occurrence total over every word of the shape"),
+    ("oracle mean --kind partial-collapsed -p aa -m 2 -n 2 --strict", 0, "oracle mean",
+     "partial-collapsed", {"n": 2, "m": 2, "pattern": "aa", "strict": True},
+     "exact mean occurrence count (total / population)"),
+    ("coeff --kind bivariate -p aa -m 2 -n 2 --holes 1", 0, "coeff", "bivariate",
+     {"pattern": "aa", "m": 2, "n": 2, "holes": 1},
+     "exact coefficient of the hole-marked series"),
+    ("stats --kind density -p aa -m 3 -n 10 -d 1/10", 0, "stats", "density",
+     {"pattern": "aa", "m": 3, "n": 10, "d": "1/10"},
+     "closed-form leading-term mean occurrence count"),
+    ("bounds uparrow -x 2 -y 3 --cap 5", 0, "bounds uparrow", None,
+     {"x": 2, "y": 3, "cap": 5}, "iterated exponentiation"),
+    ("bounds zimin-upper -m 2 -i 3 --mode tetration --cap 10", 0, "bounds zimin-upper",
+     "tetration", {"m": 2, "i": 3, "mode": "tetration"},
+     "upper bound on the Zimin forcing length"),
+    ("bounds zimin-lower --kind density -m 3 -i 2 -d 1/3", 0, "bounds zimin-lower",
+     "density", {"m": 3, "i": 2, "d": "1/3"},
+     "first-moment lower bound on the Zimin forcing length"),
+    ("bounds threshold --kind full -p aba -m 2", 0, "bounds threshold", "full",
+     {"pattern": "aba", "m": 2}, "first-moment avoidance length bound"),
+    ("bounds exact-threshold --kind abelian -p aa -m 2 --n-max 5", 0,
+     "bounds exact-threshold", "abelian", {"pattern": "aa", "m": 2, "n_max": 5},
+     "largest length with exact mean occurrence count below 1"),
+    ("search find --kind partial-collapsed -p aa -m 3 -n 3 --holes 0", 0, "search find",
+     "partial-collapsed", {"pattern": "aa", "m": 3, "length": 3, "holes": 0},
+     "backtracking avoiding-word search, oracle-verified"),
+    ("search ramsey --kind abelian -p aa -m 2 --n-max 6", 0, "search ramsey", "abelian",
+     {"pattern": "aa", "m": 2, "n_max": 6}, "exact forcing length by exhaustive search"),
+    ("reproduce", 2, "reproduce", None, {}, "bundled reference values vs recomputed values"),
+]
+
+
+@pytest.mark.parametrize("argv, code, command, kind, inputs, provenance", RECORD_CASES,
+                         ids=[case[0].split(" -")[0].replace(" ", "-") for case in RECORD_CASES])
+def test_each_command_records_its_own_fields(capsys, argv, code, command, kind, inputs,
+                                             provenance):
+    got, out, err = run(capsys, *argv.split())
+    assert got == code, err
+    record = json.loads(out)
+    assert set(record) == REQUIRED_FIELDS
+    assert (record["command"], record["kind"], record["inputs"], record["provenance"]) \
+        == (command, kind, inputs, provenance)
+
+
+@pytest.mark.parametrize("argv", [
+    "search find --kind full -p aba -m 2 -n 4 --budget 0",
+    "coeff --kind full -p aa -m 2 -n 2 --order 3",  # the option is gone
+], ids=["search-budget-0", "coeff-order"])
+def test_exit_code_rejected_option_value(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1
+    assert out == ""
+    assert err.strip().startswith("error:")
+
+
+def test_closed_stdout_ends_quietly_with_the_command_exit_code():
+    # 695,975 digits outgrow the pipe buffer, so the print meets the closed pipe
+    env = {**os.environ, "PYTHONPATH": str(Path(patstats.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "patstats.cli", "bounds", "uparrow", "-x", "7", "-y", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{\n  "comma'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 0

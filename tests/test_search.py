@@ -5,8 +5,7 @@ import pytest
 from patstats import search
 from patstats.errors import BudgetExceededError
 from patstats.oracle import CountKind, count, count_abelian, count_full
-from patstats.search import (SearchBudget, SearchStatus, exact_ramsey_length,
-                             find_avoiding)
+from patstats.search import SearchStatus, exact_ramsey_length, find_avoiding
 from patstats.words import Pattern, PartialWord, Word
 
 FULL = CountKind.FULL
@@ -46,7 +45,7 @@ def test_exhaustion_is_complete_at_desk_scale():
 
 
 def test_budget_exceeded_outcome():
-    outcome = find_avoiding(FULL, P("aba"), 2, 4, budget=SearchBudget(max_nodes=2))
+    outcome = find_avoiding(FULL, P("aba"), 2, 4, budget=2)
     assert outcome.status is SearchStatus.BUDGET_EXCEEDED
     assert outcome.nodes == 3
 
@@ -119,7 +118,7 @@ def test_ramsey_not_found_below():
 
 def test_ramsey_budget_error_is_distinct():
     with pytest.raises(BudgetExceededError) as err:
-        exact_ramsey_length(FULL, P("aba"), 2, 10, budget=SearchBudget(max_nodes=3))
+        exact_ramsey_length(FULL, P("aba"), 2, 10, budget=3)
     assert (err.value.needed, err.value.budget) == (4, 3)
 
 
