@@ -43,9 +43,11 @@ import time
 
 UPARROW = [(3, 3), (3, 4), (2, 5)]
 ZIMIN_UPPER = [(2, 4), (4, 4)]
-# (m, k, eps); checkouts whose tail bound ignores k raise ToleranceError on the last two
+# (m, k, eps); checkouts whose tail bound ignores k raise ToleranceError on (8, 3, 1e-9)
+# and (4, 4, 1e-6); (5, 2, 1e-3) sums 882 squared-variable terms
 ABELIAN = [(12, 2, 1e-9), (11, 2, 1e-9), (11, 2, 1e-8), (10, 2, 1e-7), (10, 3, 1e-6),
-           (11, 3, 1e-7), (12, 3, 1e-8), (12, 4, 1e-6), (8, 3, 1e-9), (4, 4, 1e-6)]
+           (11, 3, 1e-7), (12, 3, 1e-8), (12, 4, 1e-6), (8, 3, 1e-9), (4, 4, 1e-6),
+           (5, 2, 1e-3)]
 # patterns whose repeated variables share one multiplicity: (pattern, m, n, eps)
 ABELIAN_MEANS = [("aabbcc", 11, 1000, 1e-9)]
 REPEAT = 3

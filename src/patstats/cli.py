@@ -205,6 +205,8 @@ def _oracle_mean(args) -> dict:
 
 
 def _coeff(args) -> dict:
+    if args.index < 0:
+        raise ValueError(f"coefficient index -n must be >= 0, got {args.index}")
     p = Pattern.from_text(args.pattern)
     inputs = {"pattern": args.pattern, "m": args.alphabet, "n": args.index, "holes": args.holes}
     if args.kind == "bivariate":

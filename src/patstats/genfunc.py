@@ -21,7 +21,25 @@ can fill k_j z-weight per image coordinate:
 with M the multinomial power sum: M(l, m, k) / (l!)^k is the l-th coefficient of
 (sum_i x^i / (i!)^k)^m, and the power rule for series (f g' = m f' g for
 g = f^m) gives each M(l) from the earlier ones by one exact integer
-recurrence (see _mps_terms).  For FULL and PARTIAL_COLLAPSED each factor
+recurrence (see _mps_terms).  Squared variables (k = 2) take a shorter route,
+the symmetric power of the Bessel operator (J. M. Borwein and B. Salvy, "A
+proof of a recursion for Bessel moments", Experimental Math. 17 (2008)).
+With f = sum_i x^i / (i!)^2 = I_0(2 sqrt(x)) and theta = x d/dx, theta^2 f = x f,
+so e_j = f^(m-j) (theta f)^j, j = 0..m, satisfy
+
+    theta e_j = (m - j) e_(j+1) + j x e_(j-1).
+
+A_j(n) = (n!)^2 [x^n] e_j is an integer: the sum over compositions of n into
+m parts of the squared multinomial coefficient times the product of the last
+j parts.  Reading off [x^n] gives
+
+    n A_j(n) = (m - j) A_(j+1)(n) + j n^2 A_(j-1)(n - 1),    M(n, m, 2) = A_0(n),
+
+from A(0) = (1, 0, ..., 0).  Taken from j = m down (A_m(n) = m n A_(m-1)(n - 1)),
+each A_j(n) costs a few products of a big int by a small int, and the
+division by n is exact because every other term of the equation is an
+integer; a term costs O(m) such steps instead of the O(l) big-int products
+of the power recurrence.  For FULL and PARTIAL_COLLAPSED each factor
 is a_j z^{k_j} / (1 - a_j z^{k_j}) and the outer factor is 1/(1 - b z)^2, so the
 series is the rational function N/D with
 
@@ -52,8 +70,15 @@ from .words import Pattern, signature
 
 
 def _mps_terms(m: int, k: int) -> Iterator[int]:
-    """M(l, m, k) for l = 0, 1, 2, ..., one l per step, by the power recurrence.
+    """M(l, m, k) for l = 0, 1, 2, ..., one l per step.
 
+    For k = 2 the vector A(n) = (A_0(n), ..., A_m(n)) of the module docstring
+    is updated in O(m) big-int-by-small-int steps per n, and M(n, m, 2) = A_0(n):
+
+        A_m(n) = m n A_(m-1)(n - 1),
+        A_j(n) = (m - j) A_(j+1)(n) // n + j n A_(j-1)(n - 1),    j = m - 1, ..., 0.
+
+    One vector is kept.  Every other k > 1 uses the power recurrence.
     M(l, m, k) / (l!)^k is the l-th coefficient of g = f^m with
     f = sum_i x^i / (i!)^k.  Differentiating gives f g' = m f' g; comparing the
     coefficients of x^(n-1), with f_0 = 1, gives
@@ -68,6 +93,18 @@ def _mps_terms(m: int, k: int) -> Iterator[int]:
     """
     if m == 1 or k == 1:
         yield from map(pow, repeat(m), count())  # one part, or the multinomial theorem
+        return
+    if k == 2:
+        # the Bessel recurrence of the module docstring, updated in place from
+        # j = m down, so row[j - 1] still holds A_(j-1)(n - 1) when row[j] is set
+        row = [1] + [0] * m  # row[j] = A_j(n)
+        yield 1
+        for n in count(1):
+            row[m] = m * n * row[m - 1]
+            for j in range(m - 1, 0, -1):
+                row[j] = (m - j) * row[j + 1] // n + j * n * row[j - 1]
+            row[0] = m * row[1] // n
+            yield row[0]
         return
     values = [1]  # values[l] = M(l, m, k)
     yield 1

@@ -1,10 +1,11 @@
-"""Slow enumerations kept only as references for the tests.
+"""Slow enumerations and replaced recurrences kept only as references for the tests.
 
-Each one computes by brute force what the package computes another way, so
-the tests can compare the two.
+Each one computes, by brute force or by the formulation the package
+replaced, what the package computes another way, so the tests can compare
+the two.
 """
 
-from itertools import product
+from itertools import count, product
 from math import factorial
 
 from patstats.words import HOLE, PartialWord, Word
@@ -33,3 +34,23 @@ def multinomial_power_sum_enum(length: int, m: int, k: int) -> int:
                    for i in range(remaining + 1))
 
     return walk(m, length, 1)
+
+
+def squared_mps_power_terms(m: int):
+    """M(l, m, 2) for l = 0, 1, 2, ..., by the power recurrence that the Bessel
+    recurrence replaced: n M(n) = sum_{i=1..n} ((m + 1) i - n) C(n, i)^2 M(n - i).
+    """
+    values = [1]  # values[l] = M(l, m, 2)
+    yield 1
+    for n in count(1):
+        total = m * n
+        c = 1  # C(n, i), updated incrementally
+        for i in range(1, n // 2 + 1):
+            c = c * (n - i + 1) // i
+            j = n - i
+            pair = ((m + 1) * i - n) * values[j]
+            if j != i:
+                pair += ((m + 1) * j - n) * values[i]
+            total += c ** 2 * pair
+        values.append(total // n)
+        yield values[-1]

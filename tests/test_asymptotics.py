@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from scipy.integrate import quad
+from scipy.special import i0e, k0e
 from scipy.special import zeta as scipy_zeta
 
 from patstats.asymptotics import (ABELIAN_TERM_CAP, MeanKind, _ln_mode_probability_below,
@@ -174,6 +176,35 @@ def test_square_terms_under_the_envelope(m):
             ln_term = math.log(weight) - 2 * ell * ln_m
             ln_envelope = 0.5 * m * ln_m + 0.5 * (1 - m) * math.log(4 * math.pi * ell)
             assert ln_term < ln_envelope, (m, ell)
+
+
+# F(2) + 1 = int_0^inf t K_0(t) I_0(t/m)^m dt, from M(l, m, 2)/(l!)^2 = [x^l] I_0(2 sqrt(x))^m
+# and int_0^inf t^(2l+1) K_0(t) dt = 4^l (l!)^2 (DLMF 10.43.19).  The scaled
+# Bessel functions carry e^t and e^(-t), which cancel in the integrand.
+
+def _bessel_moment_factor(m):
+    value, error = quad(lambda t: t * k0e(t) * i0e(t / m) ** m, 0, math.inf,
+                        epsabs=0, epsrel=1e-13, limit=200)
+    assert error < 1e-13
+    return value - 1
+
+
+def test_bessel_moment_factor_matches_fcc_closed_form():
+    # at m = 4 the walk is the lazy face-centred cubic walk (Watson's integral)
+    closed = 3 * math.gamma(1 / 3) ** 6 / (2 ** (8 / 3) * math.pi ** 4) - 1
+    assert _bessel_moment_factor(4) == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("m, eps", [(5, 1e-4), (6, 1e-6), (7, 1e-7), (8, 1e-9),
+                                    (10, 1e-7), (11, 1e-9), (12, 1e-9)])
+def test_squared_factor_brackets_the_bessel_moment(m, eps):
+    # the truncated sum of positive terms lies below F(2), and its tail bound
+    # reaches above it; the slack covers float rounding of the summed terms
+    const = abelian_constant(m, 2, eps)
+    exact = _bessel_moment_factor(m)
+    slack = 1e-12 * exact
+    assert const.value <= exact + slack
+    assert exact <= const.value + const.tail_bound + slack
 
 
 def test_abelian_mean_uses_the_constant():

@@ -183,6 +183,15 @@ def test_exit_code_input_the_kind_cannot_use(capsys, argv):
     assert err.strip().startswith("error:")
 
 
+@pytest.mark.parametrize("kind, holes", [("full", ()), ("bivariate", ("--holes", "0"))])
+def test_exit_code_negative_coefficient_index(capsys, kind, holes):
+    code, out, err = run(capsys, "coeff", "--kind", kind, "-p", "aa", "-m", "2", "-n", "-1",
+                         *holes)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: coefficient index -n must be >= 0, got -1"
+
+
 def test_exit_code_unknown_flag(capsys):
     code, out, err = run(capsys, "oracle", "count", "--kind", "full",
                          "-w", "ab", "-p", "a", "-m", "2", "--bogus")

@@ -5,8 +5,9 @@ test decides value >= 10**cap from bit lengths, decimal output past the
 interpreter's int-to-str limit converts binary halves in decimal arithmetic
 instead of calling str with the limit lifted, and the multinomial power sums
 M(l, m, k) come one l at a time from one power recurrence instead of m - 1
-stacked convolution rows rebuilt as tables.  The ABELIAN series numerator is
-streamed term by term instead of built to the full order.
+stacked convolution rows rebuilt as tables, and for squared variables from
+the Bessel recurrence instead of the power recurrence.  The ABELIAN series
+numerator is streamed term by term instead of built to the full order.
 The replaced formulations are kept here as references, and the abelian
 constants are pinned to the values, term counts and tail bounds the rebuilt
 tables produced, as float hex strings.  Patterns with several variables of one
@@ -38,7 +39,7 @@ from patstats.genfunc import _mps_terms, multinomial_power_sum, ogf_bivariate, o
 from patstats.oracle import PARTIAL_KINDS, CountKind, _iter_chars, _walker, total_count
 from patstats.search import exact_ramsey_length, find_avoiding
 from patstats.words import HOLE, Pattern, signature
-from references import multinomial_power_sum_enum
+from references import multinomial_power_sum_enum, squared_mps_power_terms
 
 
 # --- the digit-cap decision -----------------------------------------------------
@@ -128,6 +129,13 @@ def test_mps_terms_match_replaced_table(k, m):
 def test_mps_terms_match_replaced_table_long():
     # abelian_constant(11, 2, 1e-9) reads 248 terms
     assert tuple(islice(_mps_terms(11, 2), 251)) == _doubling_table(250, 11, 2)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_squared_mps_terms_match_replaced_power_recurrence(m):
+    # the k = 2 Bessel recurrence against the power recurrence it replaced
+    assert (tuple(islice(_mps_terms(m, 2), 301))
+            == tuple(islice(squared_mps_power_terms(m), 301)))
 
 
 @pytest.mark.parametrize("m", range(1, 7))
