@@ -53,7 +53,8 @@ ABELIAN_MEANS = [("aabbcc", 11, 1000, 1e-9)]
 REPEAT = 3
 LOOP, LOOP_BELOW = 10, 0.02  # calls per timed run of a row faster than LOOP_BELOW seconds
 # (kind or None for the bivariate series, pattern, m, order)
-SERIES = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 300), (None, "aba", 2, 60)]
+SERIES = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 300), ("ABELIAN", "aba", 4, 300),
+          ("ABELIAN", "abacaba", 4, 300), (None, "aba", 2, 60)]
 # kind, pattern, m, n_max; the ABELIAN scan stops at n = 10
 THRESHOLDS = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 2000)]
 PRINTED = (7, 3)  # double_uparrow(x, y) printed in full: 695,975 digits

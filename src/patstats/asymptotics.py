@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,39 +150,37 @@ def _ln_factor(kind: MeanKind, m: int, k: int, d: Fraction | None,
     """ln F(k) for one repeated variable of multiplicity k, and its abelian constant.
 
     Evaluated in log space, so k may be far too large for m^k to be built (the
-    Zimin signatures reach k = 2^(i-1)).  A vanishing density denominator
-    raises: the mean then outgrows n^(s+1) and has no leading term of that order.
+    Zimin signatures reach k = 2^(i-1)).  Every kind but ABELIAN has the form
+    F = y / (1 - y) with x = ln y; x >= 0 raises: the mean then outgrows
+    n^(s+1) and has no leading term of that order.
     """
+    if kind is MeanKind.ABELIAN:
+        const = abelian_constant(m, k, eps)
+        if const.value < sys.float_info.min:
+            # the sum left the normal floats; its first term m^(1-k) gives its
+            # log to within an ulp there
+            return (1 - k) * math.log(m), const
+        return math.log(const.value), const
     if kind is MeanKind.FULL:
-        # -ln(m^(k-1) - 1)
-        if m < 2:
-            raise ValueError("full-word factor diverges for a one-letter alphabet")
-        ln_main = (k - 1) * math.log(m)
-        return -ln_main - math.log1p(-math.exp(-ln_main)), None
-    if kind in (MeanKind.PARTIAL, MeanKind.STRICT):
-        # -ln((m+1)^k / (m 2^k - m + 1) - 1)
-        if m < 2:
-            raise ValueError("partial factor diverges for a one-letter alphabet")
-        ln_a = k * math.log(m + 1)
-        ln_b = math.log(m) + k * math.log(2)
+        # y = m^(1-k)
+        x = -((k - 1) * math.log(m))
+    elif kind in (MeanKind.PARTIAL, MeanKind.STRICT):
+        # y = (m 2^k - m + 1) / (m+1)^k
+        x = math.log(m) + k * math.log(2)
         if k < 1020:  # below this the correction is representable at all
-            ln_b += math.log1p((1 - m) / (m * 2 ** k))
-        return ln_b - ln_a - math.log1p(-math.exp(ln_b - ln_a)), None
-    if kind is MeanKind.DENSITY:
-        # -ln(m^(k-1) / ([1+d(m-1)]^k - (1-1/m)(md)^k) - 1)
+            x += math.log1p((1 - m) / (m * 2 ** k))
+        x -= k * math.log(m + 1)
+    elif kind is MeanKind.DENSITY:
+        # y = ([1+d(m-1)]^k - (1-1/m)(md)^k) / m^(k-1)
         df = float(d)
         ln_fill = k * math.log1p(df * (m - 1))
         ratio = (1 - 1 / m) * math.exp(k * (math.log(m * df) - math.log1p(df * (m - 1))))
-        ln_den = ln_fill + math.log1p(-ratio)
-        ln_num = (k - 1) * math.log(m)
-        if ln_den >= ln_num:
-            raise ValueError("density factor denominator vanished "
-                             "(one-letter alphabet or d too close to 1)")
-        return ln_den - ln_num - math.log1p(-math.exp(ln_den - ln_num)), None
-    if kind is MeanKind.ABELIAN:
-        const = abelian_constant(m, k, eps)
-        return math.log(const.value), const
-    raise ValueError(f"unsupported kind {kind}")
+        x = ln_fill + math.log1p(-ratio) - (k - 1) * math.log(m)
+    else:
+        raise ValueError(f"unsupported kind {kind}")
+    if x >= 0:
+        raise ValueError("factor diverges (one-letter alphabet, or d too close to 1)")
+    return x - math.log1p(-math.exp(x)), None
 
 
 def _ln_coefficient(kind: MeanKind, sig: PatternSignature, m: int, d: Fraction | None,

@@ -179,7 +179,7 @@ def zimin_signature(i: int) -> PatternSignature:
     """Signature of the i-th Zimin pattern without materializing its 2^i - 1 symbols."""
     if i < 1:
         raise ValueError("zimin index must be >= 1")
-    return PatternSignature(r=i, s=1, mults=tuple(2 ** j for j in range(i)))
+    return PatternSignature(tuple(2 ** j for j in range(i)))
 
 
 def _threshold_from_signature(kind: MeanKind, sig: PatternSignature, m: int,

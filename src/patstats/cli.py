@@ -107,7 +107,6 @@ def _leaf(parent, name: str, run, kinds=None, **kwargs) -> _Parser:
 def build_parser() -> _Parser:
     top = _Parser(prog="patstats", description=__doc__)
     top.add_argument("--format", choices=("json", "csv"), default="json")
-    top.add_argument("--hole-char", default=".", help="hole character on input (default '.')")
     top.add_argument("--threads", type=int, default=1,
                      help="worker processes for oracle totals")
     sub = top.add_subparsers(dest="command", required=True)
@@ -176,7 +175,7 @@ def build_parser() -> _Parser:
 def _oracle_count(args) -> dict:
     kind = _COUNT_KINDS[args.kind]
     if kind in oracle.PARTIAL_KINDS:
-        w = PartialWord.from_text(args.word, args.alphabet, args.hole_char)
+        w = PartialWord.from_text(args.word, args.alphabet)
     else:
         w = Word.from_text(args.word, args.alphabet)
     result = oracle.count(kind, w, Pattern.from_text(args.pattern))
@@ -283,7 +282,7 @@ def _search_find(args) -> dict:
     if outcome.status is SearchStatus.FOUND:
         w = outcome.witness
         if args.alphabet <= 26:
-            witness = w.to_text(args.hole_char) if isinstance(w, PartialWord) else w.to_text()
+            witness = w.to_text()
         else:
             witness = list(w.chars if isinstance(w, PartialWord) else w.letters)
     result = {"status": outcome.status.value, "witness": witness, "nodes": outcome.nodes}

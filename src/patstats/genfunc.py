@@ -47,13 +47,14 @@ series is the rational function N/D with
 
 b = m for FULL and u + m with holes marked (m + 1 at u = 1).  D(0) = 1, so the
 coefficients follow the integer recurrence c_n = N_n - sum_{i>=1} D_i c_{n-i}.
-ABELIAN is not rational: there N is the product of the sparse factors and
-D = (1 - m z)^2; N is streamed, each term computed when the recurrence reads
-it, so a scan that stops early pays only for the terms it read.  The bivariate
-series runs the same recurrence at u = 2^s (Kronecker substitution):
-evaluation at 2^s is a ring homomorphism Z[u] -> Z, and every [z^n u^h] is at
-most the u = 1 total [z^n], which is below 2^s, so the h-th base-2^s digit of
-the n-th term is [z^n u^h].
+ABELIAN is not rational, but M(l, m, 1) = m^l puts a variable that occurs once
+in N and D as for FULL.  The sparse factors of the repeated variables are
+streamed into N, each term computed when the recurrence reads it, so a scan
+that stops early pays only for the terms it read.  The bivariate series runs
+the same recurrence at u = 2^s (Kronecker substitution): evaluation at 2^s is
+a ring homomorphism Z[u] -> Z, and every [z^n u^h] is at most the u = 1 total
+[z^n], which is below 2^s, so the h-th base-2^s digit of the n-th term is
+[z^n u^h].
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _mps_terms(m: int, k: int) -> Iterator[int]:
         A_m(n) = m n A_(m-1)(n - 1),
         A_j(n) = (m - j) A_(j+1)(n) // n + j n A_(j-1)(n - 1),    j = m - 1, ..., 0.
 
-    One vector is kept.  Every other k > 1 uses the power recurrence.
+    One vector is kept.  Every other k uses the power recurrence.
     M(l, m, k) / (l!)^k is the l-th coefficient of g = f^m with
     f = sum_i x^i / (i!)^k.  Differentiating gives f g' = m f' g; comparing the
     coefficients of x^(n-1), with f_0 = 1, gives
@@ -91,9 +92,6 @@ def _mps_terms(m: int, k: int) -> Iterator[int]:
     only the list of earlier M values is kept.  C(n, i) = C(n, n - i), so the
     terms i and n - i share one binomial power, and the term i = n is m n.
     """
-    if m == 1 or k == 1:
-        yield from map(pow, repeat(m), count())  # one part, or the multinomial theorem
-        return
     if k == 2:
         # the Bessel recurrence of the module docstring, updated in place from
         # j = m down, so row[j - 1] still holds A_(j-1)(n - 1) when row[j] is set
@@ -105,7 +103,6 @@ def _mps_terms(m: int, k: int) -> Iterator[int]:
                 row[j] = (m - j) * row[j + 1] // n + j * n * row[j - 1]
             row[0] = m * row[1] // n
             yield row[0]
-        return
     values = [1]  # values[l] = M(l, m, k)
     yield 1
     for n in count(1):
@@ -187,29 +184,35 @@ def _rational_form(kind: CountKind, mults: tuple[int, ...], m: int,
                    u: int = 1) -> tuple[Iterable[int], list[int]]:
     """N and D with [z^n] N/D the occurrence total at every length n.
 
-    u is the value of the hole marker; only PARTIAL_COLLAPSED reads it.  The
-    ABELIAN N is an endless stream of terms: each is computed when it is read.
+    u is the value of the hole marker; only PARTIAL_COLLAPSED reads it.  With a
+    repeated ABELIAN variable N is an endless stream, each term computed when read.
     """
-    if kind is CountKind.ABELIAN:
-        # one stream of M values per distinct multiplicity, shared by its variables
-        weights = {kj: list(tee(_mps_terms(m, kj), mults.count(kj))) for kj in set(mults)}
-        # the first factor costs no multiplication and each later one n // k_j
-        # per term, so the smallest multiplicity goes first
-        first, *rest = sorted(mults)
-        num, step = _columns(weights[first].pop(), first), first
-        for kj in rest:
-            num = _times_columns(num, weights[kj].pop(), kj, step)
-            step = gcd(step, kj)
-        return num, [1, -2 * m, m * m]
-    if kind is CountKind.FULL:
-        b, columns = m, [m] * len(mults)
-    else:
+    # an abelian variable that occurs once has the FULL factor (M(l, m, 1) = m^l)
+    streamed = mults[mults.count(1):] if kind is CountKind.ABELIAN else ()
+    rational = mults[:len(mults) - len(streamed)]
+    if kind is CountKind.PARTIAL_COLLAPSED:
         b = u + m
-        columns = [u ** kj + m * ((1 + u) ** kj - u ** kj) for kj in mults]
+        columns = [u ** kj + m * ((1 + u) ** kj - u ** kj) for kj in rational]
+    else:
+        b, columns = m, [m] * len(rational)
     den = _times_binomial(_times_binomial([1], b, 1), b, 1)
-    for kj, a in zip(mults, columns):
+    for kj, a in zip(rational, columns):
         den = _times_binomial(den, a, kj)
-    return [0] * sum(mults) + [prod(columns)], den
+    shift, scale = sum(rational), prod(columns)
+    if not streamed:
+        return [0] * shift + [scale], den
+    # one stream of M values per distinct multiplicity, shared by its variables;
+    # the first factor costs no multiplication and each later one n // k_j per
+    # term, so the smallest multiplicity (mults is nondecreasing) goes first
+    weights = {kj: list(tee(_mps_terms(m, kj), streamed.count(kj))) for kj in set(streamed)}
+    first, *rest = streamed
+    num, step = _columns(weights[first].pop(), first), first
+    for kj in rest:
+        num = _times_columns(num, weights[kj].pop(), kj, step)
+        step = gcd(step, kj)
+    if shift:
+        num = chain(repeat(0, shift), (scale * c for c in num))
+    return num, den
 
 
 def _occurrence_terms(kind: CountKind, p: Pattern, m: int, order: int) -> Iterator[int]:

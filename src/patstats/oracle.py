@@ -292,6 +292,19 @@ def count(kind: CountKind, w: Word | PartialWord, p: Pattern) -> int:
     return count_partial(w, p, kind)
 
 
+def _check_shape(kind: CountKind, n: int, m: int, holes: int | None) -> None:
+    """Raise ValueError unless total_count and the search can enumerate the words
+    of length n over m letters with `holes` holes (any number when None)."""
+    if n < 1:
+        raise ValueError("word length must be >= 1")
+    if m < 1:
+        raise ValueError("alphabet size must be >= 1")
+    if kind not in PARTIAL_KINDS and holes is not None:
+        raise ValueError("hole count only applies to partial kinds")
+    if holes is not None and not 0 <= holes <= n:
+        raise ValueError("hole count must lie in [0, n]")
+
+
 def population_size(kind: CountKind, n: int, m: int, holes: int | None = None) -> int:
     """Number of words of the shape enumerated by total_count."""
     if kind in (CountKind.FULL, CountKind.ABELIAN):
@@ -359,14 +372,7 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
     at least 2 that the workers share.  Aggregation is an integer sum, so
     partitioning the space across workers cannot change the result.
     """
-    if n < 1:
-        raise ValueError("word length must be >= 1")
-    if m < 1:
-        raise ValueError("alphabet size must be >= 1")
-    if kind not in PARTIAL_KINDS and holes is not None:
-        raise ValueError("hole count only applies to partial kinds")
-    if holes is not None and not 0 <= holes <= n:
-        raise ValueError("hole count must lie in [0, n]")
+    _check_shape(kind, n, m, holes)
     pop = population_size(kind, n, m, holes)
     if pop > budget:
         raise BudgetExceededError(

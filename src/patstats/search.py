@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .oracle import CountKind, PARTIAL_KINDS, _walker, count
+from .oracle import CountKind, PARTIAL_KINDS, _check_shape, _walker, count
 from .words import HOLE, Pattern, PartialWord, Word
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -43,6 +43,7 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
     nodes counts the characters tried, the one past the budget included, and
     deepest is the length of the longest avoiding prefix reached.
     """
+    _check_shape(kind, length, m, holes)
     if budget < 1:
         raise ValueError("budget must allow at least one node")
     occurrences = _walker(kind, m, syms)
@@ -92,13 +93,6 @@ def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,
     symmetry-broken to letter 0 (or a hole), which is sound because letter
     permutations preserve all four counting conventions.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if holes is not None:
-        if kind not in PARTIAL_KINDS:
-            raise ValueError("hole budget only applies to partial kinds")
-        if not 0 <= holes <= length:
-            raise ValueError("holes must lie in [0, length]")
     status, chars, nodes, _ = _search(kind, p.symbols, m, length, holes, budget)
     if status is SearchStatus.FOUND:
         witness = (PartialWord if kind in PARTIAL_KINDS else Word)(tuple(chars), m)
@@ -119,8 +113,6 @@ def exact_ramsey_length(kind: CountKind, p: Pattern, m: int, n_max: int,
     """
     if kind not in (CountKind.FULL, CountKind.ABELIAN):
         raise ValueError("exact forcing lengths cover FULL and ABELIAN")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     status, _, nodes, deepest = _search(kind, p.symbols, m, n_max, None, budget)
     if status is SearchStatus.BUDGET_EXCEEDED:
         raise BudgetExceededError(f"forcing-length search exceeded {budget} nodes",

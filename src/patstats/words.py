@@ -68,19 +68,23 @@ class Pattern:
 class PatternSignature:
     """Multiplicity profile of a pattern.
 
-    r distinct variables, of which s occur exactly once; mults lists the
-    per-variable occurrence counts in nondecreasing order (the s ones first).
+    mults lists the per-variable occurrence counts in nondecreasing order: r
+    distinct variables, of which the first s occur exactly once.
     """
 
-    r: int
-    s: int
     mults: tuple[int, ...]
 
     def __post_init__(self):
-        if self.r != len(self.mults) or sum(m == 1 for m in self.mults) != self.s:
-            raise ValueError("inconsistent signature")
         if any(b < a for a, b in zip(self.mults, self.mults[1:])):
             raise ValueError("multiplicities must be nondecreasing")
+
+    @property
+    def r(self) -> int:
+        return len(self.mults)
+
+    @property
+    def s(self) -> int:
+        return self.mults.count(1)
 
     @property
     def repeated(self) -> tuple[int, ...]:
@@ -96,8 +100,7 @@ def signature(p: Pattern) -> PatternSignature:
     counts = [0] * p.num_variables
     for s in p.symbols:
         counts[s] += 1
-    mults = tuple(sorted(counts))
-    return PatternSignature(r=len(mults), s=sum(m == 1 for m in mults), mults=mults)
+    return PatternSignature(tuple(sorted(counts)))
 
 
 def zimin(i: int) -> Pattern:
@@ -148,19 +151,16 @@ class PartialWord:
             raise ValueError(f"character out of range for alphabet size {self.m}")
 
     @classmethod
-    def from_text(cls, text: str, m: int, hole_char: str = ".") -> "PartialWord":
-        chars = tuple(
-            HOLE if c == hole_char or c == "⋄" else char_to_letter(c)
-            for c in text
-        )
-        return cls(chars, m)
+    def from_text(cls, text: str, m: int) -> "PartialWord":
+        """Read '.' or '⋄' as a hole."""
+        return cls(tuple(HOLE if c in ".⋄" else char_to_letter(c) for c in text), m)
 
     @classmethod
     def from_word(cls, w: Word) -> "PartialWord":
         return cls(w.letters, w.m)
 
-    def to_text(self, hole_char: str = ".") -> str:
-        return "".join(hole_char if c == HOLE else letter_to_char(c) for c in self.chars)
+    def to_text(self) -> str:
+        return "".join("." if c == HOLE else letter_to_char(c) for c in self.chars)
 
     @property
     def holes(self) -> int:

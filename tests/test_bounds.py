@@ -196,6 +196,16 @@ def test_zimin_lower_abelian_runs():
     assert math.isfinite(v)
 
 
+def test_zimin_lower_abelian_past_float_range():
+    # from i = 10 the factor of the last variable, near 12^(1-512), is below
+    # every normal float, and the bound passes float range
+    finite = [zimin_lower(MeanKind.ABELIAN, 12, i, eps=1e-3) for i in range(3, 10)]
+    assert all(map(math.isfinite, finite))
+    assert finite == sorted(finite)
+    assert zimin_lower(MeanKind.ABELIAN, 12, 10, eps=1e-3) == math.inf
+    assert zimin_lower(MeanKind.ABELIAN, 12, 11, eps=1e-3) == math.inf
+
+
 @pytest.mark.parametrize("i", [5, 6])
 def test_zimin_lower_abelian_high_multiplicity_stops_early(i):
     # the factor at k = 2^(i-1) is a sum near 12^(1-k); only the mode

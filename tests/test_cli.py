@@ -127,9 +127,10 @@ def _no_constant(name):
 
 @pytest.mark.parametrize("argv", [
     ("bounds", "zimin-lower", "--kind", "full", "-m", "2", "-i", "60"),
+    ("bounds", "zimin-lower", "--kind", "abelian", "-m", "12", "-i", "10", "--eps", "1e-3"),
     ("stats", "--kind", "full", "-p", "abcdefghijklmnopqrstuvwxyz", "-m", "2",
      "-n", "100000000000000000000"),
-], ids=["zimin-lower-full-2-60", "stats-full-past-float-range"])
+], ids=["zimin-lower-full-2-60", "zimin-lower-abelian-12-10", "stats-full-past-float-range"])
 def test_non_finite_results_print_as_strict_json(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
@@ -149,12 +150,6 @@ def test_threshold_input_checks_match_the_means(capsys, argv):
     assert err.strip().startswith("error:")
     stats = ["stats", "-n", "10", *argv[2:]]
     assert run(capsys, *stats)[0] == 1
-
-
-def test_hole_char_override(capsys):
-    record = run_json(capsys, "--hole-char", "?", "oracle", "count",
-                      "--kind", "partial-morphism", "-w", "??", "-p", "aa", "-m", "2")
-    assert record["result"] == "2"
 
 
 def test_hole_glyph_accepted_on_input(capsys):
@@ -181,6 +176,17 @@ def test_exit_code_input_the_kind_cannot_use(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.strip().startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "find", "--kind", "full", "-p", "aa", "-m", "0", "-n", "5"),
+    ("search", "ramsey", "--kind", "full", "-p", "aa", "-m", "-1", "--n-max", "5"),
+], ids=["find-empty-alphabet", "ramsey-negative-alphabet"])
+def test_exit_code_search_without_letters(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: alphabet size must be >= 1"
 
 
 @pytest.mark.parametrize("kind, holes", [("full", ()), ("bivariate", ("--holes", "0"))])

@@ -95,6 +95,14 @@ def test_holes_rejected_for_full_kinds():
         find_avoiding(FULL, P("aa"), 2, 3, holes=1)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_search_rejects_alphabets_without_letters(m):
+    with pytest.raises(ValueError, match="alphabet size"):
+        find_avoiding(FULL, P("aa"), m, 5)
+    with pytest.raises(ValueError, match="alphabet size"):
+        exact_ramsey_length(FULL, P("aa"), m, 5)
+
+
 def test_ramsey_aba():
     assert exact_ramsey_length(FULL, P("aba"), 2, 10) == 5
     assert exact_ramsey_length(FULL, P("aba"), 3, 12) == 7

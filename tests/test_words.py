@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from patstats.words import HOLE, Pattern, PartialWord, Word, signature, zimin
+from patstats.words import (HOLE, Pattern, PatternSignature, PartialWord, Word, signature,
+                            zimin)
 from references import completions
 
 
@@ -30,6 +31,13 @@ def test_signature_examples():
     assert (sig.r, sig.s, sig.mults) == (1, 1, (1,))
     sig = signature(Pattern.from_text("aa"))
     assert (sig.r, sig.s, sig.mults) == (1, 0, (2,))
+
+
+def test_signature_counts_come_from_the_multiplicities():
+    sig = PatternSignature((1, 2, 2))
+    assert (sig.r, sig.s) == (3, 1)
+    with pytest.raises(ValueError):
+        PatternSignature((2, 1))
 
 
 def test_pattern_normalizes_variable_names():
