@@ -150,16 +150,16 @@ def _ln_factor(kind: MeanKind, m: int, k: int, d: Fraction | None,
     """ln F(k) for one repeated variable of multiplicity k, and its abelian constant.
 
     Evaluated in log space, so k may be far too large for m^k to be built (the
-    Zimin signatures reach k = 2^(i-1)).  Every kind but ABELIAN has the form
-    F = y / (1 - y) with x = ln y; x >= 0 raises: the mean then outgrows
-    n^(s+1) and has no leading term of that order.
+    Zimin signatures reach k = 2^(i-1)); an ABELIAN sum whose first term
+    m^(1-k) is below every normal float is that term, to within an ulp of its log.
+    Every other kind has the form F = y / (1 - y) with x = ln y; x >= 0 raises:
+    the mean then outgrows n^(s+1) and has no leading term of that order.
     """
     if kind is MeanKind.ABELIAN:
+        ln_first = (1 - k) * math.log(m)
+        if ln_first < math.log(sys.float_info.min):
+            return ln_first, AbelianConstant(math.exp(ln_first), 1, _abelian_tail_bound(m, k, 1), eps)
         const = abelian_constant(m, k, eps)
-        if const.value < sys.float_info.min:
-            # the sum left the normal floats; its first term m^(1-k) gives its
-            # log to within an ulp there
-            return (1 - k) * math.log(m), const
         return math.log(const.value), const
     if kind is MeanKind.FULL:
         # y = m^(1-k)

@@ -123,7 +123,7 @@ def multinomial_power_sum(length: int, m: int, k: int) -> int:
     """Sum over compositions of `length` into m parts of the multinomial coefficient^k."""
     if length < 1 or m < 1 or k < 1:
         raise ValueError("multinomial power sum needs length, m, k all >= 1")
-    return next(islice(_mps_terms(m, k), length, None))
+    return m ** length if m == 1 or k == 1 else next(islice(_mps_terms(m, k), length, None))
 
 
 def _ratio_terms(num: Iterable[int], den: list[int]) -> Iterator[int]:

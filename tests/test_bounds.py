@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from patstats import asymptotics
 from patstats.asymptotics import MeanKind, abelian_constant
 from patstats.bounds import (BoundValue, ZiminUpperMode, avoidance_threshold,
                              double_uparrow, exact_avoidance_threshold,
@@ -204,6 +205,20 @@ def test_zimin_lower_abelian_past_float_range():
     assert finite == sorted(finite)
     assert zimin_lower(MeanKind.ABELIAN, 12, 10, eps=1e-3) == math.inf
     assert zimin_lower(MeanKind.ABELIAN, 12, 11, eps=1e-3) == math.inf
+
+
+def test_zimin_lower_abelian_large_index_sums_only_normal_factors(monkeypatch):
+    # k = 2^(i-1) reaches 2^39 at i = 40, where m^k has about 10^12 digits; the
+    # factors from k = 512 on are their first term, and nothing is summed there
+    calls = []
+
+    def counted(m, k, eps):
+        calls.append(k)
+        return abelian_constant(m, k, eps)
+
+    monkeypatch.setattr(asymptotics, "abelian_constant", counted)
+    assert zimin_lower(MeanKind.ABELIAN, 12, 40, eps=1e-3) == math.inf
+    assert calls == [2 ** j for j in range(1, 9)]
 
 
 @pytest.mark.parametrize("i", [5, 6])

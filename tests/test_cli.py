@@ -128,9 +128,11 @@ def _no_constant(name):
 @pytest.mark.parametrize("argv", [
     ("bounds", "zimin-lower", "--kind", "full", "-m", "2", "-i", "60"),
     ("bounds", "zimin-lower", "--kind", "abelian", "-m", "12", "-i", "10", "--eps", "1e-3"),
+    ("bounds", "zimin-lower", "--kind", "abelian", "-m", "12", "-i", "40", "--eps", "1e-3"),
     ("stats", "--kind", "full", "-p", "abcdefghijklmnopqrstuvwxyz", "-m", "2",
      "-n", "100000000000000000000"),
-], ids=["zimin-lower-full-2-60", "zimin-lower-abelian-12-10", "stats-full-past-float-range"])
+], ids=["zimin-lower-full-2-60", "zimin-lower-abelian-12-10", "zimin-lower-abelian-12-40",
+        "stats-full-past-float-range"])
 def test_non_finite_results_print_as_strict_json(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
