@@ -36,6 +36,7 @@ from .words import Pattern, PatternSignature, signature
 
 ABELIAN_TERM_CAP = 10_000
 DEFAULT_ABELIAN_EPS = 1e-9
+ZETA_TOL = 1e-12  # bound on zeta's first omitted Euler-Maclaurin term
 
 
 class MeanKind(enum.Enum):
@@ -59,11 +60,6 @@ class AbelianConstant:
 @dataclass(frozen=True)
 class AsymptoticMean:
     value: float
-    kind: MeanKind
-    sig: PatternSignature
-    m: int
-    n: int
-    d: Fraction | None = None
     abelian_factors: tuple[AbelianConstant, ...] = ()
 
 
@@ -221,23 +217,20 @@ def mean_asymptotic(kind: MeanKind, p: Pattern, m: int, n: int,
         raise ValueError("word length must be >= 1")
     sig = signature(p)
     ln_c, consts = _ln_coefficient(kind, sig, m, d, eps)
-    if d is not None:
-        d = Fraction(d)
-        if (n * d).denominator != 1:
-            warnings.warn(f"n*d = {n * d} is not an integer hole count", stacklevel=2)
+    if d is not None and (hole_count := n * Fraction(d)).denominator != 1:
+        warnings.warn(f"n*d = {hole_count} is not an integer hole count", stacklevel=2)
     try:
         value = math.exp((sig.s + 1) * math.log(n) + ln_c)
     except OverflowError:
         value = math.inf
-    return AsymptoticMean(value=value, kind=kind, sig=sig, m=m, n=n, d=d,
-                          abelian_factors=consts)
+    return AsymptoticMean(value=value, abelian_factors=consts)
 
 
-def zeta(s: float, tol: float = 1e-12) -> float:
+def zeta(s: float) -> float:
     """Riemann zeta for s > 1 by direct summation with an integral tail correction.
 
-    Euler-Maclaurin endpoint terms are added so the stated tolerance is met
-    with a modest cutoff even for s close to 1.5.
+    Euler-Maclaurin endpoint terms are added so that ZETA_TOL is met with a
+    modest cutoff even for s close to 1.5.
     """
     if s <= 1:
         raise ValueError("zeta summation requires s > 1")
@@ -245,7 +238,7 @@ def zeta(s: float, tol: float = 1e-12) -> float:
     while True:
         # magnitude of the first omitted correction term
         err = s * (s + 1) * (s + 2) * cutoff ** (-s - 3) / 720.0
-        if err <= tol or cutoff > 2 ** 24:
+        if err <= ZETA_TOL or cutoff > 2 ** 24:
             break
         cutoff *= 2
     partial = sum(i ** -s for i in range(1, cutoff + 1))

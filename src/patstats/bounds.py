@@ -121,9 +121,7 @@ class BoundValue:
 
 
 def _guarded_power(base: int, exponent: int, cap: int) -> int | None:
-    """base**exponent if its digit count can stay within cap, else None."""
-    if base == 1:
-        return 1
+    """base**exponent for base >= 2 if its digit count can stay within cap, else None."""
     # base**exponent has about exponent * log2(base) bits; dividing instead of
     # multiplying keeps a huge exponent out of float range
     if exponent > (cap * _LOG2_10 + 3) / math.log2(base):
@@ -138,6 +136,8 @@ def double_uparrow(x: int, y: int, cap: int = DEFAULT_DIGIT_CAP) -> BoundValue:
         raise ValueError("double up-arrow needs x >= 1 and y >= 0")
     if cap < 1:
         raise ValueError("digit cap must be >= 1")
+    if x == 1:  # a tower of ones is 1 at any height
+        return BoundValue.of(1)
     value = 1
     for _ in range(y):
         value = _guarded_power(x, value, cap)
@@ -209,13 +209,19 @@ def zimin_lower(kind: MeanKind, m: int, i: int, d: Fraction | None = None,
     """First-moment lower bound on the Zimin forcing length (leading term).
 
     Supports the full-word, abelian, and hole-density variants; the structural
-    signature is used, so i may be far too large for the pattern to materialize.
+    signature is used, so i may be far too large for the pattern to materialize,
+    and the bound is inf at every index whose multiplicities pass float range.
     """
     if kind not in (MeanKind.FULL, MeanKind.ABELIAN, MeanKind.DENSITY):
         raise ValueError("zimin lower bounds cover the full, abelian, and density kinds")
     if i < 2:
         raise ValueError("zimin lower bounds need i >= 2")
-    return _threshold_from_signature(kind, zimin_signature(i), m, d, eps)
+    # A multiplicity 2^j with j >= top is past float range, and its factor is 0
+    # wherever the smaller ones converge, so past that index the bound is inf;
+    # the smaller factors still decide whether the inputs diverge.
+    top = sys.float_info.max_exp
+    bound = _threshold_from_signature(kind, zimin_signature(min(i, top)), m, d, eps)
+    return bound if i <= top else math.inf
 
 
 def exact_avoidance_threshold(kind: CountKind, p: Pattern, m: int, n_max: int) -> int:

@@ -82,19 +82,9 @@ def _emit(record: dict, fmt: str) -> None:
     print(text)
 
 
-def _record(command: str, kind: str | None, inputs: dict, result, provenance: str) -> dict:
-    return {
-        "command": command,
-        "kind": kind,
-        "inputs": {k: str(v) if isinstance(v, (Fraction,)) else v
-                   for k, v in inputs.items() if v is not None},
-        "result": _format_value(result),
-        "provenance": provenance,
-    }
-
-
 def _leaf(parent, name: str, run, kinds=None, **kwargs) -> _Parser:
-    """A command parser that runs `run`; given kinds, it takes --kind, -p and -m."""
+    """A command parser whose handler `run` returns (inputs, result, provenance) for
+    main's record; given kinds, it takes --kind, -p and -m."""
     pp = parent.add_parser(name, **kwargs)
     pp.set_defaults(run=run)
     if kinds is not None:
@@ -143,7 +133,9 @@ def build_parser() -> _Parser:
     zu = _leaf(bo_sub, "zimin-upper", _zimin_upper)
     zu.add_argument("-m", "--alphabet", type=int, required=True)
     zu.add_argument("-i", "--index", type=int, required=True)
-    zu.add_argument("--mode", choices=("recursive", "tetration"), default="recursive")
+    # the record's kind is the mode
+    zu.add_argument("--mode", dest="kind", choices=("recursive", "tetration"),
+                    default="recursive")
     zu.add_argument("--cap", type=int, default=bounds.DEFAULT_DIGIT_CAP)
     zl = _leaf(bo_sub, "zimin-lower", _zimin_lower)
     zl.add_argument("--kind", required=True, choices=("full", "abelian", "density"))
@@ -172,7 +164,7 @@ def build_parser() -> _Parser:
     return top
 
 
-def _oracle_count(args) -> dict:
+def _oracle_count(args) -> tuple[dict, object, str]:
     kind = _COUNT_KINDS[args.kind]
     if kind in oracle.PARTIAL_KINDS:
         w = PartialWord.from_text(args.word, args.alphabet)
@@ -180,30 +172,28 @@ def _oracle_count(args) -> dict:
         w = Word.from_text(args.word, args.alphabet)
     result = oracle.count(kind, w, Pattern.from_text(args.pattern))
     inputs = {"word": args.word, "pattern": args.pattern, "m": args.alphabet}
-    return _record("oracle count", args.kind, inputs, result, "brute-force occurrence count")
+    return inputs, result, "brute-force occurrence count"
 
 
-def _oracle_total(args) -> dict:
+def _oracle_total(args) -> tuple[dict, object, str]:
     p = Pattern.from_text(args.pattern)
     result = oracle.total_count(_COUNT_KINDS[args.kind], args.length, args.alphabet, p,
                                 holes=args.holes, budget=args.budget, workers=args.threads)
     inputs = {"n": args.length, "m": args.alphabet, "pattern": args.pattern, "holes": args.holes}
-    return _record("oracle total", args.kind, inputs, result,
-                   "occurrence total over every word of the shape")
+    return inputs, result, "occurrence total over every word of the shape"
 
 
-def _oracle_mean(args) -> dict:
+def _oracle_mean(args) -> tuple[dict, object, str]:
     p = Pattern.from_text(args.pattern)
     result = oracle.mean_exact(_COUNT_KINDS[args.kind], args.length, args.alphabet, p,
                                holes=args.holes, strict=args.strict,
                                budget=args.budget, workers=args.threads)
     inputs = {"n": args.length, "m": args.alphabet, "pattern": args.pattern,
               "holes": args.holes, "strict": args.strict or None}
-    return _record("oracle mean", args.kind, inputs, result,
-                   "exact mean occurrence count (total / population)")
+    return inputs, result, "exact mean occurrence count (total / population)"
 
 
-def _coeff(args) -> dict:
+def _coeff(args) -> tuple[dict, object, str]:
     if args.index < 0:
         raise ValueError(f"coefficient index -n must be >= 0, got {args.index}")
     p = Pattern.from_text(args.pattern)
@@ -217,64 +207,57 @@ def _coeff(args) -> dict:
         series = genfunc.ogf_build(ser_kind, p, args.alphabet, args.index)
         provenance = "exact coefficient of the occurrence-total series"
     value = genfunc.coeff(series, args.index, args.holes)
-    return _record("coeff", args.kind, inputs, value, provenance)
+    return inputs, value, provenance
 
 
-def _stats(args) -> dict:
+def _stats(args) -> tuple[dict, object, str]:
     p = Pattern.from_text(args.pattern)
     inputs = {"pattern": args.pattern, "m": args.alphabet, "n": args.length, "d": args.density}
     if args.kind == "abelian-rs":
         if args.density is not None:
             raise ValueError("abelian-rs takes no density")
         value = asymptotics.abelian_rs_approx_mean(p, args.alphabet, args.length)
-        return _record("stats", args.kind, inputs, value,
-                       "abelian mean via the large-block envelope")
+        return inputs, value, "abelian mean via the large-block envelope"
     mean = asymptotics.mean_asymptotic(_MEAN_KINDS[args.kind], p, args.alphabet,
                                        args.length, d=args.density, eps=args.eps)
-    return _record("stats", args.kind, inputs, mean.value,
-                   "closed-form leading-term mean occurrence count")
+    return inputs, mean.value, "closed-form leading-term mean occurrence count"
 
 
-def _uparrow(args) -> dict:
+def _uparrow(args) -> tuple[dict, object, str]:
     value = bounds.double_uparrow(args.x, args.y, args.cap)
-    return _record("bounds uparrow", None, {"x": args.x, "y": args.y, "cap": args.cap},
-                   value, "iterated exponentiation")
+    return {"x": args.x, "y": args.y, "cap": args.cap}, value, "iterated exponentiation"
 
 
-def _zimin_upper(args) -> dict:
-    value = bounds.zimin_upper(args.alphabet, args.index, args.mode, args.cap)
-    inputs = {"m": args.alphabet, "i": args.index, "mode": args.mode}
-    return _record("bounds zimin-upper", args.mode, inputs, value,
-                   "upper bound on the Zimin forcing length")
+def _zimin_upper(args) -> tuple[dict, object, str]:
+    value = bounds.zimin_upper(args.alphabet, args.index, args.kind, args.cap)
+    inputs = {"m": args.alphabet, "i": args.index, "mode": args.kind}
+    return inputs, value, "upper bound on the Zimin forcing length"
 
 
-def _zimin_lower(args) -> dict:
+def _zimin_lower(args) -> tuple[dict, object, str]:
     value = bounds.zimin_lower(_MEAN_KINDS[args.kind], args.alphabet, args.index,
                                d=args.density, eps=args.eps)
     inputs = {"m": args.alphabet, "i": args.index, "d": args.density}
-    return _record("bounds zimin-lower", args.kind, inputs, value,
-                   "first-moment lower bound on the Zimin forcing length")
+    return inputs, value, "first-moment lower bound on the Zimin forcing length"
 
 
-def _threshold(args) -> dict:
+def _threshold(args) -> tuple[dict, object, str]:
     p = Pattern.from_text(args.pattern)
     value = bounds.avoidance_threshold(_MEAN_KINDS[args.kind], p, args.alphabet,
                                        d=args.density, eps=args.eps)
     inputs = {"pattern": args.pattern, "m": args.alphabet, "d": args.density}
-    return _record("bounds threshold", args.kind, inputs, value,
-                   "first-moment avoidance length bound")
+    return inputs, value, "first-moment avoidance length bound"
 
 
-def _exact_threshold(args) -> dict:
+def _exact_threshold(args) -> tuple[dict, object, str]:
     p = Pattern.from_text(args.pattern)
     value = bounds.exact_avoidance_threshold(_COUNT_KINDS[args.kind], p, args.alphabet,
                                              args.n_max)
     inputs = {"pattern": args.pattern, "m": args.alphabet, "n_max": args.n_max}
-    return _record("bounds exact-threshold", args.kind, inputs, value,
-                   "largest length with exact mean occurrence count below 1")
+    return inputs, value, "largest length with exact mean occurrence count below 1"
 
 
-def _search_find(args) -> dict:
+def _search_find(args) -> tuple[dict, object, str]:
     p = Pattern.from_text(args.pattern)
     outcome = search.find_avoiding(_COUNT_KINDS[args.kind], p, args.alphabet, args.length,
                                    holes=args.holes, budget=args.budget)
@@ -288,29 +271,34 @@ def _search_find(args) -> dict:
     result = {"status": outcome.status.value, "witness": witness, "nodes": outcome.nodes}
     inputs = {"pattern": args.pattern, "m": args.alphabet, "length": args.length,
               "holes": args.holes}
-    return _record("search find", args.kind, inputs, result,
-                   "backtracking avoiding-word search, oracle-verified")
+    return inputs, result, "backtracking avoiding-word search, oracle-verified"
 
 
-def _search_ramsey(args) -> dict:
+def _search_ramsey(args) -> tuple[dict, object, str]:
     p = Pattern.from_text(args.pattern)
     length = search.exact_ramsey_length(_COUNT_KINDS[args.kind], p, args.alphabet,
                                         args.n_max, args.budget)
     inputs = {"pattern": args.pattern, "m": args.alphabet, "n_max": args.n_max}
     result = {"ramsey_length": length, "searched_up_to": args.n_max}
-    return _record("search ramsey", args.kind, inputs, result,
-                   "exact forcing length by exhaustive search")
+    return inputs, result, "exact forcing length by exhaustive search"
 
 
-def _reproduce(args) -> dict:
-    return _record("reproduce", None, {}, reproduce_report(),
-                   "bundled reference values vs recomputed values")
+def _reproduce(args) -> tuple[dict, object, str]:
+    return {}, reproduce_report(), "bundled reference values vs recomputed values"
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        record = args.run(args)
+        inputs, result, provenance = args.run(args)
+        record = {
+            "command": " ".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
+            "kind": getattr(args, "kind", None),
+            "inputs": {k: str(v) if isinstance(v, Fraction) else v
+                       for k, v in inputs.items() if v is not None},
+            "result": _format_value(result),
+            "provenance": provenance,
+        }
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

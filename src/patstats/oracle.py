@@ -315,27 +315,22 @@ def population_size(kind: CountKind, n: int, m: int, holes: int | None = None) -
 
 
 def _iter_chars(kind: CountKind, n: int, m: int, holes: int | None, prefix: tuple[int, ...]):
-    """Lexicographic enumeration of the remaining positions after a fixed prefix."""
+    """Lexicographic enumeration of the remaining positions after a fixed prefix:
+    per placement of the holes still needed, the product of the per-position
+    alphabets, a hole alone at a placed hole."""
     rest = n - len(prefix)
-    if kind in (CountKind.FULL, CountKind.ABELIAN):
-        for tail in product(range(m), repeat=rest):
-            yield prefix + tail
-    elif holes is None:
-        alphabet = tuple(range(m)) + (HOLE,)
-        for tail in product(alphabet, repeat=rest):
-            yield prefix + tail
+    letters = tuple(range(m))
+    if holes is None:
+        placements = [()]
+        if kind in PARTIAL_KINDS:
+            letters += (HOLE,)
     else:
-        need = holes - sum(c == HOLE for c in prefix)
-        if need < 0 or need > rest:
-            return
-        for hole_positions in combinations(range(rest), need):
-            hole_set = set(hole_positions)
-            letter_slots = [i for i in range(rest) if i not in hole_set]
-            base = [HOLE] * rest
-            for fill in product(range(m), repeat=len(letter_slots)):
-                for slot, letter in zip(letter_slots, fill):
-                    base[slot] = letter
-                yield prefix + tuple(base)
+        need = holes - prefix.count(HOLE)
+        placements = combinations(range(rest), need) if need >= 0 else ()
+    for placed in placements:
+        columns = [(HOLE,) if i in placed else letters for i in range(rest)]
+        for tail in product(*columns):
+            yield prefix + tail
 
 
 def _total_for_prefix(kind: CountKind, n: int, m: int, syms: tuple[int, ...],

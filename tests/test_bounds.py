@@ -1,10 +1,11 @@
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from patstats import asymptotics
+from patstats import asymptotics, bounds
 from patstats.asymptotics import MeanKind, abelian_constant
 from patstats.bounds import (BoundValue, ZiminUpperMode, avoidance_threshold,
                              double_uparrow, exact_avoidance_threshold,
@@ -48,6 +49,15 @@ def test_uparrow_recurrence():
             lhs = double_uparrow(x, y + 1).exact
             rhs = x ** double_uparrow(x, y).exact
             assert lhs == rhs
+
+
+def test_uparrow_tower_of_ones_takes_no_power(monkeypatch):
+    # its cost does not grow with the height
+    calls = []
+    monkeypatch.setattr(bounds, "_guarded_power", lambda *args: calls.append(args))
+    assert double_uparrow(1, 10 ** 9).exact == 1
+    assert double_uparrow(1, 0).exact == 1
+    assert calls == []
 
 
 def test_uparrow_rejects_bad_args():
@@ -233,6 +243,35 @@ def test_zimin_lower_abelian_high_multiplicity_stops_early(i):
 
 def test_zimin_lower_huge_index_overflows_to_inf():
     assert zimin_lower(MeanKind.FULL, 2, 60) == math.inf
+
+
+@pytest.mark.parametrize("kind, m, d", [
+    (MeanKind.FULL, 2, None), (MeanKind.ABELIAN, 12, None), (MeanKind.DENSITY, 3, Fraction(1, 10)),
+], ids=["full", "abelian", "density"])
+def test_zimin_lower_is_inf_once_multiplicities_pass_float_range(kind, m, d):
+    # the last multiplicity, 2^1099, has no float
+    assert zimin_lower(kind, m, 1100, d=d, eps=1e-3) == math.inf
+
+
+def test_zimin_lower_past_float_range_still_raises_on_one_letter():
+    with pytest.raises(ValueError, match="diverges"):
+        zimin_lower(MeanKind.FULL, 1, 1100)
+
+
+def test_zimin_lower_builds_only_the_multiplicities_within_float_range(monkeypatch):
+    # the signature of i = 10**6 would hold ints of up to 10**6 bits, about 60 GB
+    built = []
+
+    def guarded(i):
+        assert i <= sys.float_info.max_exp
+        built.append(i)
+        return zimin_signature(i)
+
+    monkeypatch.setattr(bounds, "zimin_signature", guarded)
+    start = time.perf_counter()
+    assert zimin_lower(MeanKind.FULL, 2, 10 ** 6) == math.inf
+    assert time.perf_counter() - start < 1
+    assert built == [sys.float_info.max_exp]
 
 
 def test_threshold_monotone_in_m_and_k():

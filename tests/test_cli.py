@@ -131,8 +131,9 @@ def _no_constant(name):
     ("bounds", "zimin-lower", "--kind", "abelian", "-m", "12", "-i", "40", "--eps", "1e-3"),
     ("stats", "--kind", "full", "-p", "abcdefghijklmnopqrstuvwxyz", "-m", "2",
      "-n", "100000000000000000000"),
+    ("bounds", "zimin-lower", "--kind", "full", "-m", "2", "-i", "1100"),
 ], ids=["zimin-lower-full-2-60", "zimin-lower-abelian-12-10", "zimin-lower-abelian-12-40",
-        "stats-full-past-float-range"])
+        "stats-full-past-float-range", "zimin-lower-full-2-1100"])
 def test_non_finite_results_print_as_strict_json(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
