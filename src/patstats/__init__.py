@@ -9,9 +9,9 @@ backtracking search producing verified avoiding witnesses.
 from .asymptotics import (AbelianConstant, AsymptoticMean, MeanKind,
                           abelian_constant, abelian_rs_approx_mean,
                           mean_asymptotic, zeta)
-from .bounds import (BoundValue, ZiminUpperMode, avoidance_threshold,
-                     double_uparrow, exact_avoidance_threshold, zimin_lower,
-                     zimin_signature, zimin_upper)
+from .bounds import (BoundValue, avoidance_threshold, double_uparrow,
+                     exact_avoidance_threshold, zimin_lower, zimin_signature,
+                     zimin_upper)
 from .errors import BudgetExceededError, ToleranceError
 from .genfunc import coeff, multinomial_power_sum, ogf_bivariate, ogf_build
 from .oracle import (CountKind, count, count_abelian, count_full, count_partial,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianConstant", "AsymptoticMean", "MeanKind", "abelian_constant",
     "abelian_rs_approx_mean", "mean_asymptotic", "zeta",
-    "BoundValue", "ZiminUpperMode", "avoidance_threshold", "double_uparrow",
+    "BoundValue", "avoidance_threshold", "double_uparrow",
     "exact_avoidance_threshold", "zimin_lower", "zimin_signature", "zimin_upper",
     "BudgetExceededError", "ToleranceError",
     "coeff", "multinomial_power_sum", "ogf_bivariate", "ogf_build",

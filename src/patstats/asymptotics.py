@@ -114,7 +114,7 @@ def abelian_constant(m: int, k: int, eps: float = DEFAULT_ABELIAN_EPS) -> Abelia
         raise ValueError("abelian factors need an alphabet of at least 4 letters")
     if k < 2:
         raise ValueError("abelian factors apply to repeated variables (k >= 2)")
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise ValueError("tolerance must be positive")
     total = 0.0
     step = m ** k
@@ -192,6 +192,8 @@ def _ln_coefficient(kind: MeanKind, sig: PatternSignature, m: int, d: Fraction |
         raise ValueError("alphabet size must be >= 1")
     if kind is MeanKind.ABELIAN and m < 4:
         raise ValueError("abelian factors need an alphabet of at least 4 letters")
+    if kind is MeanKind.ABELIAN and not eps > 0:  # not every factor calls abelian_constant
+        raise ValueError("tolerance must be positive")
     if kind is MeanKind.DENSITY:
         if d is None or not 0 < d < 1:
             raise ValueError("hole density d must lie strictly between 0 and 1")

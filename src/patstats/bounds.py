@@ -100,20 +100,6 @@ class BoundValue:
     def is_exact(self) -> bool:
         return self.exact is not None
 
-    def less_than(self, other: "BoundValue") -> bool:
-        """Decidable order: an overflowed value exceeds anything below its cap."""
-        if self.is_exact and other.is_exact:
-            return self.exact < other.exact
-        if self.is_exact and not other.is_exact:
-            if not _reaches_cap(self.exact, other.overflow_cap):
-                return True
-            raise ValueError("comparison undecidable across the overflow cap")
-        if not self.is_exact and other.is_exact:
-            if not _reaches_cap(other.exact, self.overflow_cap):
-                return False
-            raise ValueError("comparison undecidable across the overflow cap")
-        raise ValueError("two overflowed values cannot be ordered")
-
     def __str__(self):
         if self.is_exact:
             return _decimal(self.exact)
@@ -146,12 +132,7 @@ def double_uparrow(x: int, y: int, cap: int = DEFAULT_DIGIT_CAP) -> BoundValue:
     return BoundValue.of(value)
 
 
-class ZiminUpperMode:
-    RECURSIVE = "recursive"
-    TETRATION = "tetration"
-
-
-def zimin_upper(m: int, i: int, mode: str = ZiminUpperMode.RECURSIVE,
+def zimin_upper(m: int, i: int, mode: str = "recursive",
                 cap: int = DEFAULT_DIGIT_CAP) -> BoundValue:
     """Upper bound on the forcing length for the i-th Zimin pattern over m letters.
 
@@ -160,19 +141,20 @@ def zimin_upper(m: int, i: int, mode: str = ZiminUpperMode.RECURSIVE,
     """
     if m < 2 or i < 2:
         raise ValueError("zimin upper bounds need m >= 2 and i >= 2")
-    if mode == ZiminUpperMode.TETRATION:
+    if cap < 1:
+        raise ValueError("digit cap must be >= 1")
+    if mode == "tetration":
         return double_uparrow(m, 2 * i - 1, cap)
-    if mode != ZiminUpperMode.RECURSIVE:
+    if mode != "recursive":
         raise ValueError(f"unknown mode {mode!r}")
     bound = 2 * m + 1
+    # m^L >= L, so once L reaches the cap the next power does too
     for _ in range(i - 2):
         power = _guarded_power(m, bound, cap)
         if power is None:
             return BoundValue.overflow(cap)
         bound = power * (bound + 1) + bound
-        if _reaches_cap(bound, cap):
-            return BoundValue.overflow(cap)
-    return BoundValue.of(bound)
+    return BoundValue.overflow(cap) if _reaches_cap(bound, cap) else BoundValue.of(bound)
 
 
 def zimin_signature(i: int) -> PatternSignature:

@@ -278,18 +278,12 @@ def count_partial(w: PartialWord, p: Pattern, kind: CountKind) -> int:
 
 
 def count(kind: CountKind, w: Word | PartialWord, p: Pattern) -> int:
-    """Kind-dispatching counter; full kinds take a Word, partial kinds a PartialWord."""
-    if kind is CountKind.FULL:
-        if isinstance(w, PartialWord):
-            raise ValueError("FULL counting expects a full word")
-        return count_full(w, p)
-    if kind is CountKind.ABELIAN:
-        if isinstance(w, PartialWord):
-            raise ValueError("ABELIAN counting expects a full word")
-        return count_abelian(w, p)
-    if not isinstance(w, PartialWord):
-        w = PartialWord.from_word(w)
-    return count_partial(w, p, kind)
+    """Kind-dispatching counter; full kinds take a Word, partial kinds either word."""
+    if isinstance(w, PartialWord):
+        if kind not in PARTIAL_KINDS:
+            raise ValueError(f"{kind.name} counting expects a full word")
+        return _walker(kind, w.m, p.symbols)(w.chars)
+    return _walker(kind, w.m, p.symbols)(w.letters)
 
 
 def _check_shape(kind: CountKind, n: int, m: int, holes: int | None) -> None:

@@ -52,7 +52,8 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
     nodes = deepest = 0
 
     def candidates(depth: int, used_holes: int) -> list[int]:
-        letters = [0] if depth == 0 else list(range(m))
+        # the first letter, after any leading holes, is 0 (see find_avoiding)
+        letters = [0] if used_holes == depth else list(range(m))
         if not partial:
             return letters
         remaining = length - depth
@@ -89,9 +90,13 @@ def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,
     """Depth-first search for a length-`length` word avoiding p under `kind`.
 
     For partial kinds the hole behaves as an extra character; when `holes` is
-    given the witness must use exactly that many.  The first character is
-    symmetry-broken to letter 0 (or a hole), which is sound because letter
-    permutations preserve all four counting conventions.
+    given the witness must use exactly that many.  The first letter, after any
+    leading holes, is symmetry-broken to 0, the oracle's rule: letter
+    permutations preserve all four counting conventions and every hole, so
+    some avoiding word of the shape starts that way if any does.  The witness
+    is the least avoiding word in the order a < b < ... < hole, because a least
+    word already starts that way: swapping its first letter with 0 would give
+    a smaller one.
     """
     status, chars, nodes, _ = _search(kind, p.symbols, m, length, holes, budget)
     if status is SearchStatus.FOUND:

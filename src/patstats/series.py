@@ -49,7 +49,3 @@ class BivariateSeries(Series):
         if h < 0 or h > n:
             raise ValueError("hole power must lie in [0, n]")
         return self.coeff(n)[h]
-
-    def at_u_one(self) -> Series:
-        """Specialize u = 1, giving the univariate series of hole-summed totals."""
-        return Series(sum(row) for row in self.coeffs)

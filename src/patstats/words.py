@@ -79,10 +79,6 @@ class PatternSignature:
             raise ValueError("multiplicities must be nondecreasing")
 
     @property
-    def r(self) -> int:
-        return len(self.mults)
-
-    @property
     def s(self) -> int:
         return self.mults.count(1)
 
@@ -90,10 +86,6 @@ class PatternSignature:
     def repeated(self) -> tuple[int, ...]:
         """Multiplicities of the variables that occur at least twice."""
         return self.mults[self.s:]
-
-    @property
-    def length(self) -> int:
-        return sum(self.mults)
 
 
 def signature(p: Pattern) -> PatternSignature:
@@ -155,16 +147,8 @@ class PartialWord:
         """Read '.' or '⋄' as a hole."""
         return cls(tuple(HOLE if c in ".⋄" else char_to_letter(c) for c in text), m)
 
-    @classmethod
-    def from_word(cls, w: Word) -> "PartialWord":
-        return cls(w.letters, w.m)
-
     def to_text(self) -> str:
         return "".join("." if c == HOLE else letter_to_char(c) for c in self.chars)
-
-    @property
-    def holes(self) -> int:
-        return sum(c == HOLE for c in self.chars)
 
     def __len__(self) -> int:
         return len(self.chars)

@@ -6,7 +6,7 @@ PUBLIC_NAMES = [
     "AbelianConstant", "AsymptoticMean", "BivariateSeries", "BoundValue",
     "BudgetExceededError", "CountKind", "HOLE", "MeanKind", "PartialWord",
     "Pattern", "PatternSignature", "SearchOutcome", "SearchStatus",
-    "Series", "ToleranceError", "Word", "ZiminUpperMode", "abelian_constant",
+    "Series", "ToleranceError", "Word", "abelian_constant",
     "abelian_rs_approx_mean", "avoidance_threshold", "coeff", "count",
     "count_abelian", "count_full", "count_partial", "double_uparrow",
     "exact_avoidance_threshold", "exact_ramsey_length", "find_avoiding",

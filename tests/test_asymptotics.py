@@ -105,6 +105,18 @@ def test_abelian_constant_rejects_small_alphabet():
         abelian_constant(3, 2, 1e-6)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-6, math.nan], ids=["zero", "negative", "nan"])
+def test_abelian_constant_rejects_tolerances_that_are_not_positive(eps):
+    # a NaN tolerance is never reached: it would sum to the term cap and raise
+    # a ToleranceError instead
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        abelian_constant(12, 2, eps)
+    # a factor past float range is its first term, found without abelian_constant
+    for p in (Pattern((0,) * 600), Pattern.from_text("ab")):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            mean_asymptotic(MeanKind.ABELIAN, p, 12, 10, eps=eps)
+
+
 def test_abelian_constant_tolerance_failure_carries_partial_sum():
     # for m = 4, k = 2 the tail bound cannot reach 1e-9 under the cap
     with pytest.raises(ToleranceError) as err:

@@ -7,9 +7,9 @@ import pytest
 
 from patstats import asymptotics, bounds
 from patstats.asymptotics import MeanKind, abelian_constant
-from patstats.bounds import (BoundValue, ZiminUpperMode, avoidance_threshold,
-                             double_uparrow, exact_avoidance_threshold,
-                             zimin_lower, zimin_signature, zimin_upper)
+from patstats.bounds import (avoidance_threshold, double_uparrow,
+                             exact_avoidance_threshold, zimin_lower,
+                             zimin_signature, zimin_upper)
 from patstats.errors import BudgetExceededError
 from patstats.oracle import CountKind
 from patstats.search import SearchStatus, find_avoiding
@@ -70,21 +70,21 @@ def test_uparrow_rejects_bad_args():
 # --- zimin upper bounds ---------------------------------------------------------
 
 def test_zimin_upper_base_case():
-    assert zimin_upper(2, 2, ZiminUpperMode.RECURSIVE).exact == 5
-    assert zimin_upper(5, 2, ZiminUpperMode.RECURSIVE).exact == 11
+    assert zimin_upper(2, 2, "recursive").exact == 5
+    assert zimin_upper(5, 2, "recursive").exact == 11
 
 
 def test_zimin_upper_one_step():
-    assert zimin_upper(2, 3, ZiminUpperMode.RECURSIVE).exact == 2 ** 5 * 6 + 5 == 197
+    assert zimin_upper(2, 3, "recursive").exact == 2 ** 5 * 6 + 5 == 197
 
 
 def test_zimin_upper_tetration_base():
-    assert zimin_upper(2, 2, ZiminUpperMode.TETRATION).exact == 16
+    assert zimin_upper(2, 2, "tetration").exact == 16
 
 
 def test_zimin_upper_tetration_overflow_past_float_range():
     # 2^^7: the tower passes 2^65536 before it outgrows the cap
-    v = zimin_upper(2, 4, ZiminUpperMode.TETRATION)
+    v = zimin_upper(2, 4, "tetration")
     assert not v.is_exact and v.overflow_cap == 1_000_000
 
 
@@ -96,33 +96,31 @@ def test_zimin_upper_rejects_small_index():
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("i", [2, 3])
 def test_recursive_below_tetration(m, i):
-    rec = zimin_upper(m, i, ZiminUpperMode.RECURSIVE)
-    tet = zimin_upper(m, i, ZiminUpperMode.TETRATION)
-    assert rec.less_than(tet)
+    rec = zimin_upper(m, i, "recursive")
+    tet = zimin_upper(m, i, "tetration")
+    # an exact value is below every value past its cap
+    assert rec.is_exact and (not tet.is_exact or rec.exact < tet.exact)
 
 
 def test_zimin_upper_overflow_marker():
-    v = zimin_upper(2, 5, ZiminUpperMode.RECURSIVE, cap=100)
+    v = zimin_upper(2, 5, "recursive", cap=100)
     assert not v.is_exact and v.overflow_cap == 100
 
 
-def test_boundvalue_ordering_rules():
-    small = BoundValue.of(10)
-    spill = BoundValue.overflow(5)
-    assert small.less_than(spill)
-    assert not spill.less_than(small)
-    with pytest.raises(ValueError):
-        spill.less_than(BoundValue.overflow(5))
-    huge = BoundValue.of(10 ** 10)
-    with pytest.raises(ValueError):
-        huge.less_than(spill)
-    # at the edge of the cap: 10^5 - 1 has 5 digits, 10^5 has 6
-    assert BoundValue.of(10 ** 5 - 1).less_than(spill)
-    assert not spill.less_than(BoundValue.of(10 ** 5 - 1))
-    with pytest.raises(ValueError):
-        BoundValue.of(10 ** 5).less_than(spill)
-    with pytest.raises(ValueError):
-        spill.less_than(BoundValue.of(10 ** 5))
+def test_zimin_upper_checks_its_base_against_the_cap():
+    # the base 2m + 1 = 11 has 2 digits, past a 1-digit cap, as 11^^1 is
+    assert zimin_upper(5, 2, cap=1).overflow_cap == 1
+    assert double_uparrow(11, 1, cap=1).overflow_cap == 1
+    assert zimin_upper(4, 2, cap=1).exact == 9
+    assert zimin_upper(2, 3, cap=3).exact == 197
+    assert zimin_upper(2, 3, cap=2).overflow_cap == 2
+
+
+@pytest.mark.parametrize("mode", ["recursive", "tetration"])
+@pytest.mark.parametrize("cap", [0, -5])
+def test_zimin_upper_rejects_caps_below_one_digit(mode, cap):
+    with pytest.raises(ValueError, match="digit cap must be >= 1"):
+        zimin_upper(2, 2, mode, cap)
 
 
 def test_boundvalue_prints_past_the_int_to_str_limit():

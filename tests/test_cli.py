@@ -94,6 +94,11 @@ def test_uparrow_overflow_marker(capsys):
     assert record["result"] == {"overflow_beyond_digits": 1000}
 
 
+def test_zimin_upper_base_past_the_cap_is_a_marker(capsys):
+    record = run_json(capsys, "bounds", "zimin-upper", "-m", "5", "-i", "2", "--cap", "1")
+    assert record["result"] == {"overflow_beyond_digits": 1}
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "uparrow", "-x", "2", "-y", "6"),
     ("bounds", "zimin-upper", "-m", "2", "-i", "4", "--mode", "tetration"),
@@ -321,7 +326,12 @@ def test_each_command_records_its_own_fields(capsys, argv, code, command, kind, 
 @pytest.mark.parametrize("argv", [
     "search find --kind full -p aba -m 2 -n 4 --budget 0",
     "coeff --kind full -p aa -m 2 -n 2 --order 3",  # the option is gone
-], ids=["search-budget-0", "coeff-order"])
+    "bounds zimin-upper -m 2 -i 2 --cap -5",
+    "bounds zimin-upper -m 2 -i 2 --cap 0",
+    "bounds zimin-upper -m 2 -i 2 --mode tetration --cap 0",
+    "stats --kind abelian -p aa -m 12 -n 10 --eps nan",
+], ids=["search-budget-0", "coeff-order", "zimin-upper-cap-negative", "zimin-upper-cap-0",
+        "zimin-upper-tetration-cap-0", "stats-eps-nan"])
 def test_exit_code_rejected_option_value(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == 1

@@ -346,7 +346,8 @@ def test_ogf_bivariate_matches_product_form(case):
     series = ogf_bivariate(p, m, order)
     assert tuple(series.coeff(n) for n in range(order + 1)) == \
         tuple(_hole_product_form(p, m, order))
-    assert series.at_u_one() == ogf_build(CountKind.PARTIAL_COLLAPSED, p, m, order)
+    assert tuple(map(sum, series.coeffs)) == \
+        ogf_build(CountKind.PARTIAL_COLLAPSED, p, m, order).coeffs
 
 
 def test_hole_width_edges_are_edges():
@@ -646,14 +647,16 @@ def test_worker_pool_is_capped_at_the_work_units(monkeypatch, kind, holes, units
 
 
 # Outcomes of the benchmark's search questions, pinned to what the replaced
-# walker produced: (kind, pattern, m, length, holes) -> (status, witness, nodes)
+# walker produced: (kind, pattern, m, length, holes) -> (status, witness, nodes).
+# The partial node count is 2 below it since the search, like the oracle, fixes
+# the first letter after leading holes, not only the first character.
 SEARCH_PINS = {
     ("full", "abab", 3, 50, None):
         ("found", "aaabaaacaaabaacaaacbaaabaacaaabaaacaaabbaaabaacaaa", 73),
     ("full", "abab", 3, 40, None): ("found", "aaabaaacaaabaacaaacbaaabaacaaabaaacaaabb", 60),
     ("full", "aa", 3, 40, None): ("found", "abacabcacbabcabacabcacbacabacbabcabacabc", 82),
     ("abelian", "aa", 4, 30, None): ("found", "abacabadabacbabdbabcbdcacbabda", 82),
-    ("partial-collapsed", "aa", 3, 14, 1): ("exhausted", None, 1411),
+    ("partial-collapsed", "aa", 3, 14, 1): ("exhausted", None, 1409),
 }
 RAMSEY_PINS = {("full", "aba", 2, 10): 5, ("full", "aba", 3, 12): 7,
                ("abelian", "aa", 3, 12): 8, ("full", "abab", 2, 25): 19}

@@ -107,7 +107,7 @@ def test_full_ogf_matches_simplified_closed_form():
         for kj in sig.repeated:
             for n in range(kj, order + 1):  # in place: multiply by 1/(1 - m z^kj)
                 closed[n] += m * closed[n - kj]
-        closed = [0] * sig.length + [m ** sig.r * c for c in closed]
+        closed = [0] * sum(sig.mults) + [m ** len(sig.mults) * c for c in closed]
         assert built.coeffs == tuple(closed[:order + 1])
 
 
@@ -141,9 +141,9 @@ def test_bivariate_matches_brute_totals_three_letters(text):
 @pytest.mark.parametrize("text", ["aa", "aba", "abab"])
 def test_bivariate_marginal_is_univariate_partial(text):
     p = P(text)
-    biv = ogf_bivariate(p, 2, 6).at_u_one()
+    biv = ogf_bivariate(p, 2, 6)
     uni = ogf_build(COLLAPSED, p, 2, 6)
-    assert biv == uni
+    assert tuple(map(sum, biv.coeffs)) == uni.coeffs
 
 
 def test_bivariate_u_degree_bounded_by_z_power():

@@ -6,7 +6,7 @@ from patstats import search
 from patstats.errors import BudgetExceededError
 from patstats.oracle import CountKind, count, count_abelian, count_full
 from patstats.search import SearchStatus, exact_ramsey_length, find_avoiding
-from patstats.words import Pattern, PartialWord, Word
+from patstats.words import HOLE, Pattern, PartialWord, Word
 
 FULL = CountKind.FULL
 ABELIAN = CountKind.ABELIAN
@@ -65,7 +65,7 @@ def test_found_witnesses_verify_for_all_kinds():
         assert outcome.status is SearchStatus.FOUND, (kind, p)
         assert count(kind, outcome.witness, p) == 0
         if holes is not None:
-            assert outcome.witness.holes == holes
+            assert outcome.witness.chars.count(HOLE) == holes
 
 
 def test_square_with_any_hole_is_unavoidable():
@@ -88,6 +88,35 @@ def test_abelian_search_is_stricter_than_full():
     w = outcome.witness
     assert count_abelian(w, P("aa")) == 0
     assert count_full(w, P("aa")) == 0
+
+
+def _least_avoiding(kind, p, m, n, holes):
+    """The least word of the shape avoiding p in the order a < b < ... < hole,
+    by brute force over every word, or None."""
+    alphabet = tuple(range(m)) + ((HOLE,) if kind in (MORPH, COLLAPSED) else ())
+    for chars in product(alphabet, repeat=n):
+        if holes is not None and chars.count(HOLE) != holes:
+            continue
+        w = PartialWord(chars, m) if HOLE in alphabet else Word(chars, m)
+        if count(kind, w, p) == 0:
+            return w.to_text()
+    return None
+
+
+def test_witness_is_the_least_avoiding_word():
+    # the README's claim, on every kind and hole count at desk scale
+    for kind, text, m, n in product((FULL, ABELIAN, MORPH, COLLAPSED),
+                                    ("aa", "aba", "abab", "abba", "aab"),
+                                    range(1, 4), range(1, 7)):
+        for holes in (None, 0, 1, 2) if kind in (MORPH, COLLAPSED) else (None,):
+            if holes is not None and holes > n:
+                continue
+            outcome = find_avoiding(kind, P(text), m, n, holes=holes)
+            least = _least_avoiding(kind, P(text), m, n, holes)
+            witness = None if outcome.witness is None else outcome.witness.to_text()
+            assert outcome.status is (SearchStatus.EXHAUSTED if least is None
+                                      else SearchStatus.FOUND), (kind, text, m, n, holes)
+            assert witness == least, (kind, text, m, n, holes)
 
 
 def test_holes_rejected_for_full_kinds():
@@ -139,14 +168,14 @@ def test_sandwich_at_tiny_scale():
     # first-moment lower bound <= exact forcing length = recursive upper bound
     # <= tetration upper bound, for the smallest zimin pattern
     from patstats.asymptotics import MeanKind
-    from patstats.bounds import ZiminUpperMode, zimin_lower, zimin_upper
+    from patstats.bounds import zimin_lower, zimin_upper
     from patstats.words import zimin
     for m in (2, 3, 4):
         exact = exact_ramsey_length(FULL, zimin(2), m, 2 * m + 3)
         assert exact == 2 * m + 1
         assert zimin_lower(MeanKind.FULL, m, 2) <= exact
-        rec = zimin_upper(m, 2, ZiminUpperMode.RECURSIVE).exact
-        tet = zimin_upper(m, 2, ZiminUpperMode.TETRATION).exact
+        rec = zimin_upper(m, 2, "recursive").exact
+        tet = zimin_upper(m, 2, "tetration").exact
         assert exact == rec <= tet
 
 

@@ -56,7 +56,7 @@ def test_bivariate_round_trip():
     assert s.coeff(2) == (1, 2, 1)
     assert s.coeff(3) == (1, 3, 3, 1)
     assert s.coeff_hole(2, 1) == 2
-    assert s.at_u_one().coeff(2) == 4
+    assert tuple(map(sum, s.coeffs)) == (1, 2, 4, 8)
 
 
 def test_bivariate_coeff_hole_bounds():
