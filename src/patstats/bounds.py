@@ -213,18 +213,20 @@ def exact_avoidance_threshold(kind: CountKind, p: Pattern, m: int, n_max: int) -
     object of that length; the totals come from the exact series and the
     populations are counted in closed form, making this bound rigorous.  The
     totals are read one length at a time, and the first mean of at least 1
-    (total >= population) ends the scan.  An n_max above DEFAULT_SERIES_BUDGET
-    raises BudgetExceededError.
+    (total >= population) ends the scan.  The budget counts the lengths read:
+    a scan that would read past DEFAULT_SERIES_BUDGET lengths without meeting
+    such a mean raises BudgetExceededError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    totals = _occurrence_terms(kind, p, m, n_max)  # checks the kind and m
-    if n_max > DEFAULT_SERIES_BUDGET:
-        raise BudgetExceededError(
-            f"series order {n_max} exceeds the budget of {DEFAULT_SERIES_BUDGET}",
-            needed=n_max, budget=DEFAULT_SERIES_BUDGET)
+    # checks the kind and m
+    totals = _occurrence_terms(kind, p, m, min(n_max, DEFAULT_SERIES_BUDGET))
     next(totals)  # length 0
     for n, total in enumerate(totals, 1):
         if total >= population_size(kind, n, m):
             return n - 1
+    if n_max > DEFAULT_SERIES_BUDGET:
+        raise BudgetExceededError(
+            f"series order {n_max} exceeds the budget of {DEFAULT_SERIES_BUDGET}",
+            needed=n_max, budget=DEFAULT_SERIES_BUDGET)
     return n_max

@@ -39,9 +39,10 @@ that class is walked.
 from __future__ import annotations
 
 import enum
+import os
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, combinations, product
+from itertools import accumulate, chain, combinations, islice, product
 from operator import sub
 from math import comb
 
@@ -61,18 +62,14 @@ class CountKind(enum.Enum):
 PARTIAL_KINDS = (CountKind.PARTIAL_MORPHISM, CountKind.PARTIAL_COLLAPSED)
 
 
-def _conflicts(chars, m: int) -> list[int]:
-    """Per shift d, the bits i where chars[i] and chars[i + d] are two different
-    letters."""
-    masks = [0] * m
-    for i, c in enumerate(chars):
-        if c != HOLE:
-            masks[c] |= 1 << i
+def _conflicts(masks: list[int], length: int) -> list[int]:
+    """Per shift d, the bits i where positions i and i + d hold two different
+    letters, from the per-letter position masks of a word of that length."""
     defined = 0
     for x in masks:
         defined |= x
     out = [0]
-    for d in range(1, len(chars)):
+    for d in range(1, length):
         same = 0
         for x in masks:
             same |= x & (x >> d)
@@ -171,10 +168,10 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
             for i, c in enumerate(chars):
                 masks[c] |= 1 << i
             holes = masks[-1]
+            if checked:
+                conf = _conflicts(masks[:m], hi)
             if partial_kind:
                 masks = [x | holes for x in masks[:m]] + [-1]
-            if checked:
-                conf = _conflicts(chars, m)
         at = [0] * k     # start of each placed block
         size = [0] * k   # its length
         match = [0] * k  # per first block: the starts of its copies
@@ -308,44 +305,32 @@ def population_size(kind: CountKind, n: int, m: int, holes: int | None = None) -
     return comb(n, holes) * m ** (n - holes)
 
 
-def _iter_chars(kind: CountKind, n: int, m: int, holes: int | None, prefix: tuple[int, ...]):
-    """Lexicographic enumeration of the remaining positions after a fixed prefix:
+def _iter_chars(kind: CountKind, n: int, m: int, holes: int | None, head: tuple[int, ...]):
+    """Lexicographic enumeration of the words of the shape that start with head:
     per placement of the holes still needed, the product of the per-position
-    alphabets, a hole alone at a placed hole."""
-    rest = n - len(prefix)
+    alphabets, one character alone at the head and at a placed hole."""
+    rest = n - len(head)
     letters = tuple(range(m))
     if holes is None:
         placements = [()]
         if kind in PARTIAL_KINDS:
             letters += (HOLE,)
     else:
-        need = holes - prefix.count(HOLE)
+        need = holes - head.count(HOLE)
         placements = combinations(range(rest), need) if need >= 0 else ()
+    fixed = [(c,) for c in head]
     for placed in placements:
-        columns = [(HOLE,) if i in placed else letters for i in range(rest)]
-        for tail in product(*columns):
-            yield prefix + tail
+        yield from product(*fixed, *[(HOLE,) if i in placed else letters for i in range(rest)])
 
 
-def _total_for_prefix(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
-                      holes: int | None, prefix: tuple[int, ...]) -> int:
-    occurrences = _walker(kind, m, syms)
-    return sum(occurrences(chars) for chars in _iter_chars(kind, n, m, holes, prefix))
-
-
-def _work_units(kind: CountKind, n: int, m: int, holes: int | None) -> list[tuple[int, ...]]:
-    """Prefixes that partition the words whose first letter is 0: j leading
-    holes (none for the full kinds, at most `holes`), the letter 0 and, where
-    the word goes on, one more character."""
-    if kind in PARTIAL_KINDS:
-        alphabet, most = tuple(range(m)) + (HOLE,), min(n - 1, n if holes is None else holes)
-    else:
-        alphabet, most = tuple(range(m)), 0
-    units = []
-    for j in range(most + 1):
-        head = (HOLE,) * j + (0,)
-        units.extend([head] if j == n - 1 else [head + (c,) for c in alphabet])
-    return units
+def _stripe_total(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
+                  holes: int | None, stride: int, offset: int) -> int:
+    """The total over every stride-th word, from the offset-th on, of the words
+    whose first letter (after any holes, fewer than n of them) is 0."""
+    leading = n if kind in PARTIAL_KINDS else 1
+    words = chain.from_iterable(_iter_chars(kind, n, m, holes, (HOLE,) * j + (0,))
+                                for j in range(leading))
+    return sum(map(_walker(kind, m, syms), islice(words, offset, None, stride)))
 
 
 def total_count(kind: CountKind, n: int, m: int, p: Pattern,
@@ -357,9 +342,11 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
     FULL/ABELIAN range over all m^n full words; the partial kinds over all
     (m+1)^n partial words, or over the C(n,holes)*m^(n-holes) words with the
     exact hole count when holes is given.  Only the words whose first letter
-    is 0 are walked (see the module docstring), split into prefixes of length
-    at least 2 that the workers share.  Aggregation is an integer sum, so
-    partitioning the space across workers cannot change the result.
+    is 0 are walked (see the module docstring), as one sequence: worker i of W
+    sums every W-th word of it from the i-th on.  W is the requested workers,
+    capped by the CPU count and by the number of words walked; one worker
+    sums in-process.  Aggregation is an integer sum, so the split cannot
+    change the result.
     """
     _check_shape(kind, n, m, holes)
     pop = population_size(kind, n, m, holes)
@@ -367,17 +354,16 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
         raise BudgetExceededError(
             f"enumerating {pop} words exceeds the budget of {budget}",
             needed=pop, budget=budget)
-    units = _work_units(kind, n, m, holes)
-    unit_total = partial(_total_for_prefix, kind, n, m, p.symbols, holes)
-    workers = min(workers, len(units))
-    if workers <= 1:
-        half = sum(map(unit_total, units))
+    workers = max(1, min(workers, os.cpu_count() or 1, pop // m))  # pop // m words walked
+    stripe_total = partial(_stripe_total, kind, n, m, p.symbols, holes, workers)
+    if workers == 1:
+        half = stripe_total(0)
     else:
         # imported here: the pool machinery costs ~2 MB of memory that
         # single-process callers never need
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            half = sum(pool.map(unit_total, units))
+            half = sum(pool.map(stripe_total, range(workers)))
     all_holes = 0
     if kind in PARTIAL_KINDS and holes in (None, n):
         all_holes = _walker(kind, m, p.symbols)((HOLE,) * n)

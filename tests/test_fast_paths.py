@@ -24,6 +24,7 @@ the reference, and the search outcomes they produced are pinned.
 import concurrent.futures
 import math
 import operator
+import os
 import random
 import sys
 from itertools import islice, product
@@ -632,18 +633,38 @@ class _InlinePool:
         return map(fn, *iterables)
 
 
-@pytest.mark.parametrize("kind, holes, units", [
-    (CountKind.FULL, None, 2),  # (0, 0), (0, 1)
-    (CountKind.PARTIAL_COLLAPSED, None, 10),  # 0 to 3 leading holes, 0, one more character
-    (CountKind.PARTIAL_MORPHISM, 1, 6),  # at most one leading hole
-])
-def test_worker_pool_is_capped_at_the_work_units(monkeypatch, kind, holes, units):
+def _pool_sizes(monkeypatch, cpus, kind, n, m, holes, workers):
+    """The pool sizes one total starts on a host with the given CPU count, after
+    checking that total against the in-process one."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     p = Pattern.from_text("aba")
-    expected = total_count(kind, 4, 2, p, holes=holes)
-    assert total_count(kind, 4, 2, p, holes=holes, workers=5000) == expected
-    assert _InlinePool.sizes == [units]
+    expected = total_count(kind, n, m, p, holes=holes)
+    assert total_count(kind, n, m, p, holes=holes, workers=workers) == expected
+    return _InlinePool.sizes
+
+
+@pytest.mark.parametrize("kind, holes, cpus", [
+    (CountKind.FULL, None, 2),  # 8 words walked
+    (CountKind.PARTIAL_COLLAPSED, None, 10),  # 40 words walked
+    (CountKind.PARTIAL_MORPHISM, 1, 6),  # 16 words walked
+])
+def test_worker_pool_is_capped_at_the_work_units(monkeypatch, kind, holes, cpus):
+    # 5,000 workers asked for, fewer CPUs than words: one process per CPU
+    assert _pool_sizes(monkeypatch, cpus, kind, 4, 2, holes, 5000) == [cpus]
+
+
+@pytest.mark.parametrize("n, m, workers, cpus, sizes", [
+    (6, 2, 8, 8, [8]),  # as many as asked for
+    (6, 3, 8, 8, [8]),
+    (6, 2, 3, 8, [3]),
+    (2, 2, 5000, 8, [2]),  # one per word walked
+    (6, 2, 8, 1, []),  # one worker sums in-process
+])
+def test_worker_pool_is_capped_at_the_workers_and_the_words(monkeypatch, n, m, workers,
+                                                           cpus, sizes):
+    assert _pool_sizes(monkeypatch, cpus, CountKind.FULL, n, m, None, workers) == sizes
 
 
 # Outcomes of the benchmark's search questions, pinned to what the replaced

@@ -120,15 +120,6 @@ def test_bivariate_examples():
     assert s.coeff_hole(2, 2) == 1
 
 
-@pytest.mark.parametrize("text", ["aa", "aba"])
-def test_bivariate_matches_brute_totals_by_hole_count(text):
-    p = P(text)
-    s = ogf_bivariate(p, 2, 6)
-    for n in range(1, 7):
-        for h in range(n + 1):
-            assert s.coeff_hole(n, h) == total_count(COLLAPSED, n, 2, p, holes=h)
-
-
 @pytest.mark.parametrize("text", ["aa", "aab"])
 def test_bivariate_matches_brute_totals_three_letters(text):
     p = P(text)
@@ -173,15 +164,3 @@ def test_coeff_dispatcher():
         coeff(biv, 2)
     with pytest.raises(ValueError):
         coeff(uni, 99)
-
-
-def test_strict_decomposition_via_coefficients():
-    # partial total minus full total equals the strictly-partial brute total
-    for text in ("aa", "aba"):
-        p = P(text)
-        part = ogf_build(COLLAPSED, p, 2, 5)
-        full = ogf_build(FULL, p, 2, 5)
-        for n in range(1, 6):
-            strictly = sum(total_count(COLLAPSED, n, 2, p, holes=h)
-                           for h in range(1, n + 1))
-            assert coeff(part, n) - coeff(full, n) == strictly

@@ -8,6 +8,7 @@ from pathlib import Path
 from patstats.cli import main
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+FIELDS = ["command", "kind", "inputs", "result", "provenance"]
 
 
 def _block(heading: str, lang: str) -> str:
@@ -29,6 +30,17 @@ def _holds(result, claim: str) -> bool:
     return expected in result.values() if isinstance(result, dict) else result == expected
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _record(out: str) -> dict:
+    """The one strict JSON record a command printed, with the record fields."""
+    record = json.loads(out, parse_constant=_no_constant)
+    assert list(record) == FIELDS, out
+    return record
+
+
 def test_readme_results_hold(capsys):
     commands = _block("Command line", "sh").splitlines()
     assert len(commands) >= 10
@@ -39,14 +51,15 @@ def test_readme_results_hold(capsys):
         out = capsys.readouterr().out
         if "reproduce" in argv:  # the density line misses its pinned tolerance
             if argv[:2] == ["--format", "csv"]:
-                rows = list(csv.reader(out.splitlines()))[1:]
+                header, *rows = csv.reader(out.splitlines())
+                assert header[:3] == FIELDS[:3] and header[-1] == FIELDS[-1], header
             else:
-                rows = json.loads(out)["result"]
+                rows = _record(out)["result"]
             assert (code, len(rows)) == (2, 10), line
             continue
         assert code == 0, line
         claim = comment.split("->", 1)[1].strip()
-        assert _holds(json.loads(out)["result"], claim), (line, out)
+        assert _holds(_record(out)["result"], claim), (line, out)
 
     block = _block("Library", "python")
     lines = block.splitlines()

@@ -25,18 +25,6 @@ def test_find_square_free_binary():
     assert count_full(outcome.witness, P("aa")) == 0
 
 
-def test_find_aba_free_of_length_four():
-    outcome = find_avoiding(FULL, P("aba"), 2, 4)
-    assert outcome.status is SearchStatus.FOUND
-    assert outcome.witness.to_text() == "aabb"
-
-
-def test_no_aba_free_of_length_five():
-    outcome = find_avoiding(FULL, P("aba"), 2, 5)
-    assert outcome.status is SearchStatus.EXHAUSTED
-    assert outcome.witness is None
-
-
 def test_exhaustion_is_complete_at_desk_scale():
     # every binary word of length 5 really does encounter aba
     p = P("aba")
@@ -132,20 +120,9 @@ def test_search_rejects_alphabets_without_letters(m):
         exact_ramsey_length(FULL, P("aa"), m, 5)
 
 
-def test_ramsey_aba():
-    assert exact_ramsey_length(FULL, P("aba"), 2, 10) == 5
-    assert exact_ramsey_length(FULL, P("aba"), 3, 12) == 7
-
-
 def test_ramsey_single_variable():
     assert exact_ramsey_length(FULL, P("a"), 2, 5) == 1
     assert exact_ramsey_length(FULL, P("a"), 7, 5) == 1
-
-
-def test_ramsey_zimin2_formula():
-    from patstats.words import zimin
-    for m in (2, 3):
-        assert exact_ramsey_length(FULL, zimin(2), m, 2 * m + 3) == 2 * m + 1
 
 
 def test_ramsey_not_found_below():
@@ -177,16 +154,6 @@ def test_sandwich_at_tiny_scale():
         rec = zimin_upper(m, 2, "recursive").exact
         tet = zimin_upper(m, 2, "tetration").exact
         assert exact == rec <= tet
-
-
-def test_first_moment_pipeline_consistency():
-    from patstats.bounds import exact_avoidance_threshold
-    for pat in ("aa", "aba", "aab"):
-        for m in (2, 3):
-            p = P(pat)
-            threshold = exact_avoidance_threshold(FULL, p, m, 10)
-            for n in range(1, threshold + 1):
-                assert find_avoiding(FULL, p, m, n).status is SearchStatus.FOUND
 
 
 def test_partial_witness_with_unconstrained_holes():
