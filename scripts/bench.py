@@ -58,8 +58,10 @@ SERIES = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 300), ("ABELIAN", "a
 # kind, pattern, m, n_max; the ABELIAN scan stops at n = 10
 THRESHOLDS = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 2000)]
 PRINTED = (7, 3)  # double_uparrow(x, y) printed in full: 695,975 digits
-# (kind, pattern, n, m): the oracle totals of the ROADMAP baseline table
-TOTALS = [("FULL", "aba", 16, 2), ("ABELIAN", "aba", 14, 2), ("PARTIAL_COLLAPSED", "aba", 10, 2)]
+# (kind, pattern, n, m): the oracle totals of the ROADMAP baseline table, then
+# three at m = 3 and 4, where the letter permutations leave fewer words to walk
+TOTALS = [("FULL", "aba", 16, 2), ("ABELIAN", "aba", 14, 2), ("PARTIAL_COLLAPSED", "aba", 10, 2),
+          ("FULL", "aba", 11, 3), ("FULL", "abab", 9, 4), ("PARTIAL_COLLAPSED", "abba", 7, 4)]
 FIND = ("FULL", "abab", 3, 40, None)  # kind, pattern, m, length, holes
 RAMSEY = ("FULL", "aba", 3, 12)  # kind, pattern, m, n_max
 # the occurrence kernel: count mode on fixed binary words (kind, pattern, length),

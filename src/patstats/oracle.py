@@ -26,14 +26,25 @@ time.  The search's question is answered on the reversed prefix with the
 reversed pattern, walked from start 0 alone.
 
 Totals and exact means sum over every word of the requested shape; the budget
-is measured in words of that shape.  A permutation of the letters maps
-occurrences to occurrences and fixes the holes, so it preserves all four
-counts and, being a bijection, every hole count.  The words other than the
-all-hole one split into m classes by their first letter (after any holes),
-and the transposition of 0 and c maps the class of c onto the class of 0.
-So the total is m times the total over the words whose first letter is 0,
-plus the count of the all-hole word where the shape admits it, and only
-that class is walked.
+is measured in words of that shape.  Only one word per symmetry orbit is
+walked.  A permutation of the letters maps occurrences to occurrences and
+fixes the holes, so it preserves all four counts and every hole count.  Each
+orbit under the permutations holds exactly one word in first-occurrence form,
+where letter c appears only after 0, ..., c - 1 have (relabel the letters in
+order of first appearance), and a word with j distinct letters has
+m(m-1)...(m-j+1) images, one per injective renaming of its j letters.  So
+the total is the sum of that weight times the count over the words in
+first-occurrence form; the all-hole word has j = 0 and weight 1.
+Reversing a word reverses every occurrence of p into one of the reversed
+pattern, keeps blocks equal, anagrams or compatible and all-hole coordinates
+all-hole, and keeps the number of holes and of distinct letters.  So when p
+reads the same reversed up to a renaming of its variables (aa, aba, abab,
+abba, aabb, every Zimin pattern), the first-occurrence form r of the reverse
+of a word w has the count and the weight of w, and w -> r is an involution
+on the words in first-occurrence form.  If r = w, reversal maps the orbit of
+w onto itself and w keeps its weight; otherwise the orbits of w and r are
+distinct with equal totals, so the smaller of w and r is walked with twice
+the weight and the larger skipped.
 """
 
 from __future__ import annotations
@@ -42,9 +53,9 @@ import enum
 import os
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, combinations, islice, product
+from itertools import accumulate, combinations, islice, product
 from operator import sub
-from math import comb
+from math import comb, perm
 
 from .errors import BudgetExceededError
 from .words import HOLE, Pattern, PartialWord, Word
@@ -297,7 +308,8 @@ def _check_shape(kind: CountKind, n: int, m: int, holes: int | None) -> None:
 
 
 def population_size(kind: CountKind, n: int, m: int, holes: int | None = None) -> int:
-    """Number of words of the shape enumerated by total_count."""
+    """Number of words of the shape: those total_count sums over, and what its
+    budget counts."""
     if kind in (CountKind.FULL, CountKind.ABELIAN):
         return m ** n
     if holes is None:
@@ -305,32 +317,58 @@ def population_size(kind: CountKind, n: int, m: int, holes: int | None = None) -
     return comb(n, holes) * m ** (n - holes)
 
 
-def _iter_chars(kind: CountKind, n: int, m: int, holes: int | None, head: tuple[int, ...]):
-    """Lexicographic enumeration of the words of the shape that start with head:
+def _first_occurrence_form(chars) -> tuple[int, ...]:
+    """chars with its letters renamed 0, 1, ... in order of first appearance;
+    holes stay holes."""
+    names = {HOLE: HOLE}
+    return tuple([names.setdefault(c, len(names) - 1) for c in chars])
+
+
+def _first_occurrence_words(kind: CountKind, n: int, m: int, holes: int | None):
+    """The words of the shape in first-occurrence form: per number j of distinct
+    letters, per choice of the positions where 0, ..., j - 1 first appear and
     per placement of the holes still needed, the product of the per-position
-    alphabets, one character alone at the head and at a placed hole."""
-    rest = n - len(head)
-    letters = tuple(range(m))
-    if holes is None:
-        placements = [()]
-        if kind in PARTIAL_KINDS:
-            letters += (HOLE,)
-    else:
-        need = holes - head.count(HOLE)
-        placements = combinations(range(rest), need) if need >= 0 else ()
-    fixed = [(c,) for c in head]
-    for placed in placements:
-        yield from product(*fixed, *[(HOLE,) if i in placed else letters for i in range(rest)])
+    alphabets.  Before the first letter only holes fit; after the first
+    occurrence of c, the letters 0, ..., c and, with no hole count, the hole."""
+    partial = kind in PARTIAL_KINDS
+    extra = (HOLE,) if partial and holes is None else ()
+    for j in range(0 if partial else 1, min(m, n) + 1):
+        for firsts in combinations(range(n), j):
+            lead = firsts[0] if firsts else n
+            if lead and not partial:
+                continue
+            cols = [(HOLE,)] * lead
+            for c, (q, nxt) in enumerate(zip(firsts, firsts[1:] + (n,))):
+                cols += [(c,)] + [tuple(range(c + 1)) + extra] * (nxt - q - 1)
+            if holes is None:
+                placements = [()]
+            else:
+                free = [q for q in range(lead, n) if q not in firsts]
+                need = holes - lead
+                placements = combinations(free, need) if need >= 0 else ()
+            for placed in placements:
+                yield from product(*[(HOLE,) if q in placed else col
+                                     for q, col in enumerate(cols)])
 
 
 def _stripe_total(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
                   holes: int | None, stride: int, offset: int) -> int:
-    """The total over every stride-th word, from the offset-th on, of the words
-    whose first letter (after any holes, fewer than n of them) is 0."""
-    leading = n if kind in PARTIAL_KINDS else 1
-    words = chain.from_iterable(_iter_chars(kind, n, m, holes, (HOLE,) * j + (0,))
-                                for j in range(leading))
-    return sum(map(_walker(kind, m, syms), islice(words, offset, None, stride)))
+    """The weighted total over every stride-th word, from the offset-th on, of
+    the words in first-occurrence form (see the module docstring)."""
+    occurrences = _walker(kind, m, syms)
+    weights = [perm(m, j) for j in range(min(m, n) + 1)]  # by distinct letters
+    mirror = _first_occurrence_form(syms[::-1]) == syms
+    total = 0
+    for chars in islice(_first_occurrence_words(kind, n, m, holes), offset, None, stride):
+        weight = weights[max(chars) + 1]  # HOLE is -1
+        if mirror:
+            r = _first_occurrence_form(reversed(chars))
+            if r < chars:
+                continue
+            if r != chars:
+                weight *= 2
+        total += weight * occurrences(chars)
+    return total
 
 
 def total_count(kind: CountKind, n: int, m: int, p: Pattern,
@@ -341,12 +379,12 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
 
     FULL/ABELIAN range over all m^n full words; the partial kinds over all
     (m+1)^n partial words, or over the C(n,holes)*m^(n-holes) words with the
-    exact hole count when holes is given.  Only the words whose first letter
-    is 0 are walked (see the module docstring), as one sequence: worker i of W
-    sums every W-th word of it from the i-th on.  W is the requested workers,
-    capped by the CPU count and by the number of words walked; one worker
-    sums in-process.  Aggregation is an integer sum, so the split cannot
-    change the result.
+    exact hole count when holes is given.  Only the words in first-occurrence
+    form are walked, each with the weight of its orbit (see the module
+    docstring), as one sequence: worker i of W sums every W-th word of it from
+    the i-th on.  W is the requested workers, capped by the CPU count and by
+    the words of the shape per letter; one worker sums in-process.
+    Aggregation is an integer sum, so the split cannot change the result.
     """
     _check_shape(kind, n, m, holes)
     pop = population_size(kind, n, m, holes)
@@ -354,20 +392,17 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
         raise BudgetExceededError(
             f"enumerating {pop} words exceeds the budget of {budget}",
             needed=pop, budget=budget)
-    workers = max(1, min(workers, os.cpu_count() or 1, pop // m))  # pop // m words walked
+    # at most one worker per m words of the shape; fewer words are walked
+    # (about pop / m!), so a tiny total may leave a worker idle
+    workers = max(1, min(workers, os.cpu_count() or 1, pop // m))
     stripe_total = partial(_stripe_total, kind, n, m, p.symbols, holes, workers)
     if workers == 1:
-        half = stripe_total(0)
-    else:
-        # imported here: the pool machinery costs ~2 MB of memory that
-        # single-process callers never need
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            half = sum(pool.map(stripe_total, range(workers)))
-    all_holes = 0
-    if kind in PARTIAL_KINDS and holes in (None, n):
-        all_holes = _walker(kind, m, p.symbols)((HOLE,) * n)
-    return m * half + all_holes
+        return stripe_total(0)
+    # imported here: the pool machinery costs ~2 MB of memory that
+    # single-process callers never need
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(stripe_total, range(workers)))
 
 
 def mean_exact(kind: CountKind, n: int, m: int, p: Pattern,

@@ -51,9 +51,9 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
     chars: list[int] = []
     nodes = deepest = 0
 
-    def candidates(depth: int, used_holes: int) -> list[int]:
-        # the first letter, after any leading holes, is 0 (see find_avoiding)
-        letters = [0] if used_holes == depth else list(range(m))
+    def candidates(depth: int, used_holes: int, used: int) -> list[int]:
+        # letters in first-occurrence form: 0, ..., the next unused one (see find_avoiding)
+        letters = list(range(min(used + 1, m)))
         if not partial:
             return letters
         remaining = length - depth
@@ -64,24 +64,24 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
             return [HOLE]
         return letters + ([HOLE] if want_hole else [])
 
-    def dfs(depth: int, used_holes: int) -> SearchStatus:
+    def dfs(depth: int, used_holes: int, used: int) -> SearchStatus:
         nonlocal nodes, deepest
         if depth == length:
             return SearchStatus.FOUND
-        for c in candidates(depth, used_holes):
+        for c in candidates(depth, used_holes, used):
             nodes += 1
             if nodes > budget:
                 return SearchStatus.BUDGET_EXCEEDED
             chars.append(c)
             if not occurrences(chars, depth + 1):
                 deepest = max(deepest, depth + 1)
-                status = dfs(depth + 1, used_holes + (c == HOLE))
+                status = dfs(depth + 1, used_holes + (c == HOLE), max(used, c + 1))
                 if status is not SearchStatus.EXHAUSTED:
                     return status
             chars.pop()
         return SearchStatus.EXHAUSTED
 
-    return dfs(0, 0), chars, nodes, deepest
+    return dfs(0, 0, 0), chars, nodes, deepest
 
 
 def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,
@@ -90,13 +90,14 @@ def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,
     """Depth-first search for a length-`length` word avoiding p under `kind`.
 
     For partial kinds the hole behaves as an extra character; when `holes` is
-    given the witness must use exactly that many.  The first letter, after any
-    leading holes, is symmetry-broken to 0, the oracle's rule: letter
-    permutations preserve all four counting conventions and every hole, so
-    some avoiding word of the shape starts that way if any does.  The witness
-    is the least avoiding word in the order a < b < ... < hole, because a least
-    word already starts that way: swapping its first letter with 0 would give
-    a smaller one.
+    given the witness must use exactly that many.  Only words in
+    first-occurrence form are tried, the oracle's rule: letter c comes only
+    after 0, ..., c - 1.  Letter permutations preserve all four counting
+    conventions and every hole, so some avoiding word of the shape has that
+    form if any does.  The witness is the least avoiding word in the order
+    a < b < ... < hole, because the least one already has that form: at its
+    first letter c past the next unused letter t, swapping c and t throughout
+    would give a smaller one.
     """
     status, chars, nodes, _ = _search(kind, p.symbols, m, length, holes, budget)
     if status is SearchStatus.FOUND:

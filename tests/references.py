@@ -21,6 +21,37 @@ def completions(w: PartialWord):
         yield Word(tuple(base), w.m)
 
 
+def all_words(n: int, m: int, partial: bool, holes: int | None = None):
+    """Every word of length n over m letters, and the hole when partial, in
+    lexicographic order; only those with exactly `holes` holes when given."""
+    alphabet = tuple(range(m)) + ((HOLE,) if partial else ())
+    for chars in product(alphabet, repeat=n):
+        if holes is None or chars.count(HOLE) == holes:
+            yield chars
+
+
+def least_avoiding(n: int, m: int, partial: bool, holes: int | None, closes):
+    """The least word of the shape in the order a < b < ... < hole whose no
+    prefix closes(prefix) flags, by a depth-first search that tries every
+    letter at every position, or None."""
+    alphabet = tuple(range(m)) + ((HOLE,) if partial else ())
+    chars = []
+
+    def dfs(left: int | None) -> bool:  # left: the holes still needed
+        if len(chars) == n:
+            return True
+        for c in alphabet:
+            if left is not None and left == (0 if c == HOLE else n - len(chars)):
+                continue
+            chars.append(c)
+            if not closes(chars) and dfs(None if left is None else left - (c == HOLE)):
+                return True
+            chars.pop()
+        return False
+
+    return tuple(chars) if dfs(holes) else None
+
+
 def multinomial_power_sum_enum(length: int, m: int, k: int) -> int:
     """M(length, m, k) by walking every composition of `length` into m parts."""
     if length < 1 or m < 1 or k < 1:

@@ -16,9 +16,12 @@ one integer recurrence for N/D (the bivariate one packed at u = 2^s) instead
 of products of truncated series; the product form, with each geometric factor
 written out term by term as the genfunc docstring derives it, is the reference.
 The oracle's three walkers and the search's segment matcher became one
-occurrence kernel with slice-free block checks and the length equation, and
-totals walk only the words whose first letter is 0; the replaced walkers are
-the reference, and the search outcomes they produced are pinned.
+occurrence kernel with slice-free block checks and the length equation; the
+replaced walkers are the reference.  Totals walk one word per orbit of the
+letter permutations and, for patterns that read the same reversed, reversal;
+the reference sums every word.  The search tries only words in
+first-occurrence form; a search that tries every letter is the reference, and
+the search outcomes the replaced walkers produced are pinned.
 """
 
 import concurrent.futures
@@ -37,10 +40,11 @@ from patstats.bounds import (DEFAULT_DIGIT_CAP, _decimal, _reaches_cap, avoidanc
                              exact_avoidance_threshold)
 from patstats.errors import ToleranceError
 from patstats.genfunc import _mps_terms, multinomial_power_sum, ogf_bivariate, ogf_build
-from patstats.oracle import PARTIAL_KINDS, CountKind, _iter_chars, _walker, total_count
-from patstats.search import exact_ramsey_length, find_avoiding
-from patstats.words import HOLE, Pattern, signature
-from references import multinomial_power_sum_enum, squared_mps_power_terms
+from patstats.oracle import PARTIAL_KINDS, CountKind, _walker, total_count
+from patstats.search import SearchStatus, exact_ramsey_length, find_avoiding
+from patstats.words import HOLE, PartialWord, Pattern, Word, signature
+from references import (all_words, least_avoiding, multinomial_power_sum_enum,
+                        squared_mps_power_terms)
 
 
 # --- the digit-cap decision -----------------------------------------------------
@@ -602,14 +606,16 @@ def test_closes_occurrence_matches_replaced_matcher_at_every_end(kind, length, t
 
 
 @pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
-@pytest.mark.parametrize("text", ["aba", "abba"])
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("text", ["aba", "abba", "abcab", "aab", "aaba"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_symmetric_total_matches_unreduced_sum(kind, text, m):
+    # aab and aaba do not read the same reversed up to renaming; abcab does
     n = 5
     syms = Pattern.from_text(text).symbols
-    for holes in [None] + (list(range(n + 1)) if kind in PARTIAL_KINDS else []):
+    partial = kind in PARTIAL_KINDS
+    for holes in [None] + (list(range(n + 1)) if partial else []):
         expected = sum(_reference_count(kind, chars, m, syms)
-                       for chars in _iter_chars(kind, n, m, holes, ()))
+                       for chars in all_words(n, m, partial, holes))
         for workers in (1, 2, 3):
             assert total_count(kind, n, m, Pattern(syms), holes=holes,
                                workers=workers) == expected, (holes, workers)
@@ -646,9 +652,9 @@ def _pool_sizes(monkeypatch, cpus, kind, n, m, holes, workers):
 
 
 @pytest.mark.parametrize("kind, holes, cpus", [
-    (CountKind.FULL, None, 2),  # 8 words walked
-    (CountKind.PARTIAL_COLLAPSED, None, 10),  # 40 words walked
-    (CountKind.PARTIAL_MORPHISM, 1, 6),  # 16 words walked
+    (CountKind.FULL, None, 2),  # 16 words of the shape, over m = 2: 8
+    (CountKind.PARTIAL_COLLAPSED, None, 10),  # 81 words: 40
+    (CountKind.PARTIAL_MORPHISM, 1, 6),  # 32 words: 16
 ])
 def test_worker_pool_is_capped_at_the_work_units(monkeypatch, kind, holes, cpus):
     # 5,000 workers asked for, fewer CPUs than words: one process per CPU
@@ -659,7 +665,7 @@ def test_worker_pool_is_capped_at_the_work_units(monkeypatch, kind, holes, cpus)
     (6, 2, 8, 8, [8]),  # as many as asked for
     (6, 3, 8, 8, [8]),
     (6, 2, 3, 8, [3]),
-    (2, 2, 5000, 8, [2]),  # one per word walked
+    (2, 2, 5000, 8, [2]),  # at most one per m words of the shape
     (6, 2, 8, 1, []),  # one worker sums in-process
 ])
 def test_worker_pool_is_capped_at_the_workers_and_the_words(monkeypatch, n, m, workers,
@@ -669,15 +675,15 @@ def test_worker_pool_is_capped_at_the_workers_and_the_words(monkeypatch, n, m, w
 
 # Outcomes of the benchmark's search questions, pinned to what the replaced
 # walker produced: (kind, pattern, m, length, holes) -> (status, witness, nodes).
-# The partial node count is 2 below it since the search, like the oracle, fixes
-# the first letter after leading holes, not only the first character.
+# The partial node count is about half of it (1,411) since the search tries
+# only words in first-occurrence form.
 SEARCH_PINS = {
     ("full", "abab", 3, 50, None):
         ("found", "aaabaaacaaabaacaaacbaaabaacaaabaaacaaabbaaabaacaaa", 73),
     ("full", "abab", 3, 40, None): ("found", "aaabaaacaaabaacaaacbaaabaacaaabaaacaaabb", 60),
     ("full", "aa", 3, 40, None): ("found", "abacabcacbabcabacabcacbacabacbabcabacabc", 82),
     ("abelian", "aa", 4, 30, None): ("found", "abacabadabacbabdbabcbdcacbabda", 82),
-    ("partial-collapsed", "aa", 3, 14, 1): ("exhausted", None, 1409),
+    ("partial-collapsed", "aa", 3, 14, 1): ("exhausted", None, 707),
 }
 RAMSEY_PINS = {("full", "aba", 2, 10): 5, ("full", "aba", 3, 12): 7,
                ("abelian", "aa", 3, 12): 8, ("full", "abab", 2, 25): 19}
@@ -696,3 +702,26 @@ def test_exact_ramsey_length_pinned(question):
     kind, text, m, n_max = question
     assert exact_ramsey_length(CountKind(kind), Pattern.from_text(text), m, n_max) == \
         RAMSEY_PINS[question]
+
+
+@pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("text", KERNEL_PATTERNS)
+def test_search_matches_a_search_over_every_letter(kind, text):
+    # the first-occurrence candidates keep the least avoiding word, so the
+    # status and the witness of every question stay those of a plain search
+    p = Pattern.from_text(text)
+    partial = kind in PARTIAL_KINDS
+    for m in range(1, 5):
+        occurrences = _walker(kind, m, p.symbols)
+        for n in range(1, 11):
+            for holes in (None, 1, 2) if partial else (None,):
+                if holes is not None and holes > n:
+                    continue
+                least = least_avoiding(n, m, partial, holes,
+                                       lambda chars: occurrences(chars, len(chars)))
+                outcome = find_avoiding(kind, p, m, n, holes=holes)
+                if least is None:
+                    assert outcome.status is SearchStatus.EXHAUSTED, (m, n, holes)
+                else:
+                    witness = (PartialWord if partial else Word)(least, m)
+                    assert outcome.witness == witness, (m, n, holes)

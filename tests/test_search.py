@@ -7,6 +7,7 @@ from patstats.errors import BudgetExceededError
 from patstats.oracle import CountKind, count, count_abelian, count_full
 from patstats.search import SearchStatus, exact_ramsey_length, find_avoiding
 from patstats.words import HOLE, Pattern, PartialWord, Word
+from references import all_words
 
 FULL = CountKind.FULL
 ABELIAN = CountKind.ABELIAN
@@ -81,11 +82,9 @@ def test_abelian_search_is_stricter_than_full():
 def _least_avoiding(kind, p, m, n, holes):
     """The least word of the shape avoiding p in the order a < b < ... < hole,
     by brute force over every word, or None."""
-    alphabet = tuple(range(m)) + ((HOLE,) if kind in (MORPH, COLLAPSED) else ())
-    for chars in product(alphabet, repeat=n):
-        if holes is not None and chars.count(HOLE) != holes:
-            continue
-        w = PartialWord(chars, m) if HOLE in alphabet else Word(chars, m)
+    partial = kind in (MORPH, COLLAPSED)
+    for chars in all_words(n, m, partial, holes):
+        w = PartialWord(chars, m) if partial else Word(chars, m)
         if count(kind, w, p) == 0:
             return w.to_text()
     return None
@@ -230,4 +229,4 @@ def test_search_builds_the_kernel_once(monkeypatch):
     builds.clear()
     calls.clear()
     assert exact_ramsey_length(FULL, P("aba"), 3, 12) == 7
-    assert (len(builds), len(calls)) == (1, 79)
+    assert (len(builds), len(calls)) == (1, 41)
