@@ -69,8 +69,9 @@ def _emit(record: dict, fmt: str) -> None:
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        rows = record["result"] if isinstance(record["result"], list) \
-            else [{"result": record["result"]}]
+        rows = record["result"]
+        if not isinstance(rows, list):  # a dict result is one row with its keys as columns
+            rows = [rows if isinstance(rows, dict) else {"result": rows}]
         writer.writerow(["command", "kind", "inputs"] + list(rows[0].keys()) + ["provenance"])
         inputs = ";".join(f"{k}={v}" for k, v in record["inputs"].items())
         for row in rows:

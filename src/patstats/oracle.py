@@ -61,6 +61,9 @@ from .errors import BudgetExceededError
 from .words import HOLE, Pattern, PartialWord, Word
 
 DEFAULT_WORD_BUDGET = 5_000_000
+# total_count's words walked per worker, about the words of the shape over m!:
+# on 2 cores a second worker lost up to about 1,000 words and paid from 2,000.
+_WALKED_PER_WORKER = 1024
 
 
 class CountKind(enum.Enum):
@@ -383,7 +386,8 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
     form are walked, each with the weight of its orbit (see the module
     docstring), as one sequence: worker i of W sums every W-th word of it from
     the i-th on.  W is the requested workers, capped by the CPU count and by
-    the words of the shape per letter; one worker sums in-process.
+    one worker per _WALKED_PER_WORKER words walked, estimated as the words
+    of the shape over m!; one worker sums in-process.
     Aggregation is an integer sum, so the split cannot change the result.
     """
     _check_shape(kind, n, m, holes)
@@ -392,9 +396,7 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
         raise BudgetExceededError(
             f"enumerating {pop} words exceeds the budget of {budget}",
             needed=pop, budget=budget)
-    # at most one worker per m words of the shape; fewer words are walked
-    # (about pop / m!), so a tiny total may leave a worker idle
-    workers = max(1, min(workers, os.cpu_count() or 1, pop // m))
+    workers = max(1, min(workers, os.cpu_count() or 1, pop // perm(m) // _WALKED_PER_WORKER))
     stripe_total = partial(_stripe_total, kind, n, m, p.symbols, holes, workers)
     if workers == 1:
         return stripe_total(0)

@@ -41,7 +41,9 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
 
     Returns (status, chars, nodes, deepest): chars is the witness when FOUND,
     nodes counts the characters tried, the one past the budget included, and
-    deepest is the length of the longest avoiding prefix reached.
+    deepest is the length of the longest avoiding prefix reached.  One loop
+    over a stack of the untried candidates per depth, read off the prefix, so
+    nothing but the node budget limits the length.
     """
     _check_shape(kind, length, m, holes)
     if budget < 1:
@@ -49,39 +51,34 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
     occurrences = _walker(kind, m, syms)
     partial = kind in PARTIAL_KINDS
     chars: list[int] = []
+    stack: list[list[int]] = []
     nodes = deepest = 0
-
-    def candidates(depth: int, used_holes: int, used: int) -> list[int]:
-        # letters in first-occurrence form: 0, ..., the next unused one (see find_avoiding)
-        letters = list(range(min(used + 1, m)))
-        if not partial:
-            return letters
-        remaining = length - depth
-        want_hole = holes is None or used_holes < holes
-        # with an exact budget every leftover position may still need a hole
-        must_hole = holes is not None and holes - used_holes >= remaining
-        if must_hole:
-            return [HOLE]
-        return letters + ([HOLE] if want_hole else [])
-
-    def dfs(depth: int, used_holes: int, used: int) -> SearchStatus:
-        nonlocal nodes, deepest
-        if depth == length:
-            return SearchStatus.FOUND
-        for c in candidates(depth, used_holes, used):
-            nodes += 1
-            if nodes > budget:
-                return SearchStatus.BUDGET_EXCEEDED
-            chars.append(c)
-            if not occurrences(chars, depth + 1):
-                deepest = max(deepest, depth + 1)
-                status = dfs(depth + 1, used_holes + (c == HOLE), max(used, c + 1))
-                if status is not SearchStatus.EXHAUSTED:
-                    return status
+    while True:
+        if len(stack) == len(chars):  # chars avoids syms: open the next depth
+            deepest = max(deepest, len(chars))
+            if len(chars) == length:
+                return SearchStatus.FOUND, chars, nodes, deepest
+            # the letters of first-occurrence form (see find_avoiding), least
+            # last since candidates are taken from the end; HOLE is -1
+            untried = list(range(min(max(chars, default=HOLE) + 1, m - 1), -1, -1))
+            due = None if holes is None else holes - chars.count(HOLE)  # holes to place
+            if partial and (due is None or 0 < due < length - len(chars)):
+                untried.insert(0, HOLE)
+            elif partial and due:  # every position left must take a hole
+                untried = [HOLE]
+            stack.append(untried)
+        if not stack[-1]:  # every candidate here is spent: back up
+            stack.pop()
+            if not chars:
+                return SearchStatus.EXHAUSTED, chars, nodes, deepest
             chars.pop()
-        return SearchStatus.EXHAUSTED
-
-    return dfs(0, 0, 0), chars, nodes, deepest
+            continue
+        nodes += 1
+        if nodes > budget:
+            return SearchStatus.BUDGET_EXCEEDED, chars, nodes, deepest
+        chars.append(stack[-1].pop())
+        if occurrences(chars, len(chars)):
+            chars.pop()
 
 
 def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,

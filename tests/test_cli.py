@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import patstats
+from patstats import oracle
 from patstats.cli import main
 
 REQUIRED_FIELDS = {"command", "kind", "inputs", "result", "provenance"}
@@ -171,7 +173,8 @@ def test_exit_code_tolerance(capsys):
     assert "tolerance" in err
 
 
-def test_threads_flag_matches_sequential(capsys):
+def test_threads_flag_matches_sequential(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "_WALKED_PER_WORKER", 1)  # a pool even for 243 words
     lone = run_json(capsys, "oracle", "total", "--kind", "partial-collapsed",
                     "-p", "aba", "-m", "2", "-n", "5")
     multi = run_json(capsys, "--threads", "2", "oracle", "total",
@@ -186,6 +189,22 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("command,kind,inputs")
     assert "34" in lines[1]
+
+
+@pytest.mark.parametrize("argv, header, row", [
+    (("search", "find", "--kind", "full", "-p", "aba", "-m", "2", "-n", "4"),
+     ["status", "witness", "nodes"], ["found", "aabb", "6"]),
+    (("search", "ramsey", "--kind", "full", "-p", "aba", "-m", "2", "--n-max", "10"),
+     ["ramsey_length", "searched_up_to"], ["5", "10"]),
+    (("search", "ramsey", "--kind", "full", "-p", "aa", "-m", "3", "--n-max", "5"),
+     ["ramsey_length", "searched_up_to"], ["", "5"]),
+], ids=["find", "ramsey", "ramsey-none"])
+def test_csv_dict_result_is_one_row_of_its_keys(capsys, argv, header, row):
+    code, out, err = run(capsys, "--format", "csv", *argv)
+    assert code == 0, err
+    top, cells = csv.reader(out.splitlines())
+    assert top == ["command", "kind", "inputs"] + header + ["provenance"]
+    assert cells[3:-1] == row
 
 
 def test_json_round_trip_is_lossless(capsys):

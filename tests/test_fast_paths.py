@@ -34,7 +34,7 @@ from itertools import islice, product
 
 import pytest
 
-from patstats import asymptotics
+from patstats import asymptotics, oracle
 from patstats.asymptotics import MeanKind, abelian_constant, mean_asymptotic
 from patstats.bounds import (DEFAULT_DIGIT_CAP, _decimal, _reaches_cap, avoidance_threshold,
                              exact_avoidance_threshold)
@@ -608,8 +608,10 @@ def test_closes_occurrence_matches_replaced_matcher_at_every_end(kind, length, t
 @pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("text", ["aba", "abba", "abcab", "aab", "aaba"])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_symmetric_total_matches_unreduced_sum(kind, text, m):
-    # aab and aaba do not read the same reversed up to renaming; abcab does
+def test_symmetric_total_matches_unreduced_sum(monkeypatch, kind, text, m):
+    # aab and aaba do not read the same reversed up to renaming; abcab does.
+    # One word walked per worker, so these small totals still split into strides
+    monkeypatch.setattr(oracle, "_WALKED_PER_WORKER", 1)
     n = 5
     syms = Pattern.from_text(text).symbols
     partial = kind in PARTIAL_KINDS
@@ -639,9 +641,10 @@ class _InlinePool:
         return map(fn, *iterables)
 
 
-def _pool_sizes(monkeypatch, cpus, kind, n, m, holes, workers):
+def _pool_sizes(monkeypatch, cpus, kind, n, m, holes, workers, walked_per_worker=1):
     """The pool sizes one total starts on a host with the given CPU count, after
     checking that total against the in-process one."""
+    monkeypatch.setattr(oracle, "_WALKED_PER_WORKER", walked_per_worker)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -652,7 +655,7 @@ def _pool_sizes(monkeypatch, cpus, kind, n, m, holes, workers):
 
 
 @pytest.mark.parametrize("kind, holes, cpus", [
-    (CountKind.FULL, None, 2),  # 16 words of the shape, over m = 2: 8
+    (CountKind.FULL, None, 2),  # 16 words of the shape, over m! = 2: 8
     (CountKind.PARTIAL_COLLAPSED, None, 10),  # 81 words: 40
     (CountKind.PARTIAL_MORPHISM, 1, 6),  # 32 words: 16
 ])
@@ -665,12 +668,23 @@ def test_worker_pool_is_capped_at_the_work_units(monkeypatch, kind, holes, cpus)
     (6, 2, 8, 8, [8]),  # as many as asked for
     (6, 3, 8, 8, [8]),
     (6, 2, 3, 8, [3]),
-    (2, 2, 5000, 8, [2]),  # at most one per m words of the shape
+    (2, 2, 5000, 8, [2]),  # at most one per m! words of the shape
     (6, 2, 8, 1, []),  # one worker sums in-process
 ])
 def test_worker_pool_is_capped_at_the_workers_and_the_words(monkeypatch, n, m, workers,
                                                            cpus, sizes):
     assert _pool_sizes(monkeypatch, cpus, CountKind.FULL, n, m, None, workers) == sizes
+
+
+@pytest.mark.parametrize("n, m, sizes", [
+    (5, 2, []),  # 32 words of the shape, about 16 walked
+    (10, 2, []),  # 1,024 words, 512 walked: forking costs more than the walk
+    (12, 2, [2]),  # 4,096 words, 2,048 walked: one worker per 1,024
+    (7, 4, []),  # 16,384 words, but only about 16,384 / 4! = 682 walked
+])
+def test_worker_pool_starts_only_where_it_pays(monkeypatch, n, m, sizes):
+    assert _pool_sizes(monkeypatch, 8, CountKind.FULL, n, m, None, 2,
+                       oracle._WALKED_PER_WORKER) == sizes
 
 
 # Outcomes of the benchmark's search questions, pinned to what the replaced

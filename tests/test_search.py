@@ -1,8 +1,10 @@
+import json
 from itertools import product
 
 import pytest
 
 from patstats import search
+from patstats.cli import main
 from patstats.errors import BudgetExceededError
 from patstats.oracle import CountKind, count, count_abelian, count_full
 from patstats.search import SearchStatus, exact_ramsey_length, find_avoiding
@@ -104,6 +106,23 @@ def test_witness_is_the_least_avoiding_word():
             assert outcome.status is (SearchStatus.EXHAUSTED if least is None
                                       else SearchStatus.FOUND), (kind, text, m, n, holes)
             assert witness == least, (kind, text, m, n, holes)
+
+
+# --- no length limit but the node budget: 1,200 characters deep ---------------
+
+def test_found_witness_past_the_interpreter_recursion_limit():
+    outcome = find_avoiding(FULL, P("aaa"), 2, 1200)
+    assert outcome.status is SearchStatus.FOUND
+    assert len(outcome.witness.letters) == 1200
+    assert count_full(outcome.witness, P("aaa")) == 0
+
+
+def test_ramsey_search_past_the_interpreter_recursion_limit(capsys):
+    # cube-free binary words exist at every length
+    assert exact_ramsey_length(FULL, P("aaa"), 2, 1200) is None
+    argv = "search ramsey --kind full -p aaa -m 2 --n-max 1200".split()
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["ramsey_length"] is None
 
 
 def test_holes_rejected_for_full_kinds():
