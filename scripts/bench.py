@@ -65,7 +65,7 @@ TOTALS = [("FULL", "aba", 16, 2), ("ABELIAN", "aba", 14, 2), ("PARTIAL_COLLAPSED
 FIND = ("FULL", "abab", 3, 40, None)  # kind, pattern, m, length, holes
 RAMSEY = ("FULL", "aba", 3, 12)  # kind, pattern, m, n_max
 # the occurrence kernel: count mode on fixed binary words (kind, pattern, length),
-# exists mode through the searches (kind, pattern, m, length or n_max, holes)
+# anchored mode through the searches (kind, pattern, m, length or n_max, holes)
 KERNEL_COUNTS = [("FULL", "abab", 100), ("ABELIAN", "aba", 70)]
 KERNEL_RAMSEY = ("FULL", "abab", 2, 25)
 KERNEL_FIND = ("PARTIAL_COLLAPSED", "aa", 3, 14, 1)
@@ -145,29 +145,6 @@ def _timed(call):
     return result, secs
 
 
-def _search_nodes(call) -> int:
-    """Nodes a search visits: each node calls the occurrence kernel once."""
-    from patstats import search
-    build = search._walker
-    nodes = 0
-
-    def counted_build(*args):
-        occurrences = build(*args)
-
-        def counted(*call_args):
-            nonlocal nodes
-            nodes += 1
-            return occurrences(*call_args)
-        return counted
-
-    search._walker = counted_build
-    try:
-        call()
-    finally:
-        search._walker = build
-    return nodes
-
-
 def measure(totals: bool = True) -> list[dict]:
     """One measurement pass, each row timed by _timed; the oracle totals only if `totals`."""
     from patstats import asymptotics, bounds, cli, genfunc, oracle, search
@@ -192,12 +169,13 @@ def measure(totals: bool = True) -> list[dict]:
                      "layer": layer, "result_sha256": _digest(f"{outcome.status.value} {witness}"),
                      "work": {"nodes": outcome.nodes}, "seconds": secs})
     for layer, (kind, text, m, n_max) in (("search", RAMSEY), ("kernel", KERNEL_RAMSEY)):
-        def ramsey():
-            return search.exact_ramsey_length(CountKind[kind], Pattern.from_text(text), m, n_max)
-        value, secs = _timed(ramsey)
+        p = Pattern.from_text(text)
+        value, secs = _timed(lambda: search.exact_ramsey_length(CountKind[kind], p, m, n_max))
+        # find_avoiding runs the same search and reports its nodes
+        nodes = search.find_avoiding(CountKind[kind], p, m, n_max).nodes
         rows.append({"name": f"exact_ramsey_length({kind}, {text!r}, {m}, {n_max})",
                      "layer": layer, "result_sha256": _digest(str(value)),
-                     "work": {"nodes": _search_nodes(ramsey)}, "seconds": secs})
+                     "work": {"nodes": nodes}, "seconds": secs})
     for kind, text, length in KERNEL_COUNTS:
         rng = random.Random(f"{kind} {text}")
         word = Word(tuple(rng.randrange(2) for _ in range(length)), 2)

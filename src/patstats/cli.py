@@ -76,7 +76,8 @@ def _emit(record: dict, fmt: str) -> None:
         inputs = ";".join(f"{k}={v}" for k, v in record["inputs"].items())
         for row in rows:
             cells = [record["command"], record["kind"], inputs]
-            cells += [row[k] for k in rows[0].keys()]
+            cells += [";".join(map(str, row[k])) if isinstance(row[k], list) else row[k]
+                      for k in rows[0].keys()]
             cells.append(record["provenance"])
             writer.writerow(cells)
         text = buf.getvalue().rstrip("\n")

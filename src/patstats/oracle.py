@@ -17,13 +17,12 @@ consistency rule between blocks of equal pattern variables:
                      reproduces; the two conventions genuinely differ (on ".."
                      over two letters, pattern "aa" counts 2 vs 1).
 
-All four counts walk one kernel, `_walker`, which also answers the search's
-question whether an occurrence ends at a given position.  It skips only the
-block lengths that provably cannot match: a fresh variable followed by a copy
-of an earlier one takes its lengths from the set bits of that block's match
-set, the starts of its copies.  Every occurrence is still found one at a
-time.  The search's question is answered on the reversed prefix with the
-reversed pattern, walked from start 0 alone.
+All four counts walk one kernel, `_walker`, which also answers whether an
+occurrence starts a word (the search asks it of the reversed prefix with the
+reversed pattern).  It skips only the block lengths that provably cannot
+match: a fresh variable followed by a copy of an earlier one takes its
+lengths from the set bits of that block's match set, the starts of its
+copies.  Every occurrence is still found one at a time.
 
 Totals and exact means sum over every word of the requested shape; the budget
 is measured in words of that shape.  Only one word per symmetry orbit is
@@ -117,15 +116,12 @@ def _plan(syms: tuple[int, ...], kind: CountKind) -> list[tuple]:
 def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
     """The occurrence walk shared by the oracle and the search.
 
-    Returns occurrences(chars, hi=None).  Count mode (hi None): the number of
-    occurrences in chars, each PARTIAL_MORPHISM occurrence weighted by m per
-    all-hole coordinate.  Exists mode: 1 if some occurrence ends exactly at
-    hi, else 0; the two partial conventions agree there, every weight being
-    at least 1.  Exists mode walks the reversed prefix chars[:hi][::-1] with
-    the reversed pattern from start 0 only, and stops at the first
-    occurrence: reversing every block maps the occurrences ending at hi onto
-    the occurrences starting at 0, and keeps blocks equal, anagrams or
-    compatible, so it preserves all four rules.
+    Returns occurrences(chars, anchored=False), which answers one of two
+    questions on the word it is given.  Count mode: the number of occurrences
+    in chars, each PARTIAL_MORPHISM occurrence weighted by m per all-hole
+    coordinate.  Anchored mode: 1 if some occurrence starts at 0, else 0,
+    walked from start 0 alone and stopped at the first occurrence; the two
+    partial conventions agree there, every weight being at least 1.
 
     Blocks are placed left to right, and a repeated variable's later blocks
     are checked without slicing.  FULL and the partial kinds keep a match set
@@ -154,25 +150,23 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
     index is fixed by the pattern, so a fresh variable occurring c times from
     here on gets a length of at most (room - fixed - free) // c, where fixed
     is the total length of the later blocks of bound variables and free the
-    number of later blocks of still-fresh ones.  Every occurrence is still
-    found, and counted or weighted, one at a time.
+    number of later blocks of still-fresh ones.  A match set only loses bits
+    as its block grows, so a repeated variable's lengths stop once no copy can
+    start right of its block (an all-hole block keeps every bit).  Every
+    occurrence is still found, and counted or weighted, one at a time.
     """
     k = len(syms)
     partial_kind = kind in PARTIAL_KINDS
     abelian = kind is CountKind.ABELIAN
-    forward, backward = _plan(syms, kind), _plan(syms[::-1], kind)
-    checked = any(not entry[0] and entry[2] for entry in forward)
+    plan = _plan(syms, kind)
+    checked = any(not entry[0] and entry[2] for entry in plan)
     groups = [[j for j, u in enumerate(syms) if u == v] for v in set(syms)] \
         if kind is CountKind.PARTIAL_MORPHISM else ()
 
-    def occurrences(chars, hi: int | None = None) -> int:
-        exists = hi is not None
-        if exists:
-            chars, plan, starts = chars[:hi][::-1], backward, (0,)
-        else:
-            hi, plan = len(chars), forward
-            starts = range(hi - k + 1)
-        weighted = bool(groups) and not exists
+    def occurrences(chars, anchored: bool = False) -> int:
+        hi = len(chars)
+        starts = (0,) if anchored else range(hi - k + 1)
+        weighted = bool(groups) and not anchored
         if abelian:
             unit = [(1 << hi.bit_length()) ** c for c in range(m)]
             pref = list(accumulate((unit[c] for c in chars), initial=0))
@@ -239,6 +233,8 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
                         cur &= masks[chars[pos + grown]] >> grown
                         grown += 1
                     match[idx] = cur
+                    if not cur >> (pos + length):  # no copy to the right, now or longer
+                        break
                 i, p, f = idx + 1, pos + length, fixed + (c - 1) * length
                 if copy:  # the filter placed block i already
                     at[i], size[i] = p, copy
@@ -261,7 +257,7 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
                     p, f, i = p + step, f - step, i + 1
                 else:
                     found = walk(i, p, f) if i < k else weight() if weighted else 1
-                    if found and exists:
+                    if found and anchored:
                         return 1
                     total += found
             return total
@@ -355,12 +351,11 @@ def _first_occurrence_words(kind: CountKind, n: int, m: int, holes: int | None):
 
 
 def _stripe_total(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
-                  holes: int | None, stride: int, offset: int) -> int:
+                  holes: int | None, mirror: bool, stride: int, offset: int) -> int:
     """The weighted total over every stride-th word, from the offset-th on, of
-    the words in first-occurrence form (see the module docstring)."""
+    the words in first-occurrence form (see the module docstring for mirror)."""
     occurrences = _walker(kind, m, syms)
     weights = [perm(m, j) for j in range(min(m, n) + 1)]  # by distinct letters
-    mirror = _first_occurrence_form(syms[::-1]) == syms
     total = 0
     for chars in islice(_first_occurrence_words(kind, n, m, holes), offset, None, stride):
         weight = weights[max(chars) + 1]  # HOLE is -1
@@ -387,7 +382,8 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
     docstring), as one sequence: worker i of W sums every W-th word of it from
     the i-th on.  W is the requested workers, capped by the CPU count and by
     one worker per _WALKED_PER_WORKER words walked, estimated as the words
-    of the shape over m!; one worker sums in-process.
+    of the shape over m!, halved when p reads the same reversed up to
+    renaming; one worker sums in-process.
     Aggregation is an integer sum, so the split cannot change the result.
     """
     _check_shape(kind, n, m, holes)
@@ -396,8 +392,10 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
         raise BudgetExceededError(
             f"enumerating {pop} words exceeds the budget of {budget}",
             needed=pop, budget=budget)
-    workers = max(1, min(workers, os.cpu_count() or 1, pop // perm(m) // _WALKED_PER_WORKER))
-    stripe_total = partial(_stripe_total, kind, n, m, p.symbols, holes, workers)
+    mirror = _first_occurrence_form(p.symbols[::-1]) == p.symbols
+    walked = pop // perm(m) >> mirror
+    workers = max(1, min(workers, os.cpu_count() or 1, walked // _WALKED_PER_WORKER))
+    stripe_total = partial(_stripe_total, kind, n, m, p.symbols, holes, mirror, workers)
     if workers == 1:
         return stripe_total(0)
     # imported here: the pool machinery costs ~2 MB of memory that

@@ -3,10 +3,11 @@
 One depth-first search serves both answers.  It extends a word one character
 at a time and prunes as soon as the new last character closes an occurrence
 of the pattern.  Every shorter prefix was already checked, so only the
-occurrences that end at the last position are looked for: the oracle's
-occurrence kernel in exists mode, built once per search, which walks the word
-reversed with the reversed pattern from that position alone.  Found witnesses
-are re-verified against the oracle's count before being returned.
+occurrences that end at the last position are looked for: reversed, with
+blocks still equal, anagrams or compatible, they are the occurrences of the
+reversed pattern that start the reversed prefix, which the oracle's kernel
+for the reversed pattern, built once per search, finds in anchored mode.
+Found witnesses are re-verified against the oracle's count before return.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ DEFAULT_NODE_BUDGET = 2_000_000
 
 
 class SearchStatus(enum.Enum):
+    """How a search ended; a spent node budget raises BudgetExceededError."""
     FOUND = "found"
     EXHAUSTED = "exhausted"
-    BUDGET_EXCEEDED = "budget-exceeded"
 
 
 @dataclass(frozen=True)
@@ -40,15 +41,15 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
     """Depth-first search for a length-`length` word avoiding syms under `kind`.
 
     Returns (status, chars, nodes, deepest): chars is the witness when FOUND,
-    nodes counts the characters tried, the one past the budget included, and
-    deepest is the length of the longest avoiding prefix reached.  One loop
-    over a stack of the untried candidates per depth, read off the prefix, so
-    nothing but the node budget limits the length.
+    nodes counts the characters tried and deepest is the length of the longest
+    avoiding prefix reached.  Raises BudgetExceededError at the node past the
+    budget.  One loop over a stack of the untried candidates per depth, read
+    off the prefix, so nothing but the node budget limits the length.
     """
     _check_shape(kind, length, m, holes)
     if budget < 1:
         raise ValueError("budget must allow at least one node")
-    occurrences = _walker(kind, m, syms)
+    occurrences = _walker(kind, m, syms[::-1])
     partial = kind in PARTIAL_KINDS
     chars: list[int] = []
     stack: list[list[int]] = []
@@ -75,9 +76,10 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
             continue
         nodes += 1
         if nodes > budget:
-            return SearchStatus.BUDGET_EXCEEDED, chars, nodes, deepest
+            raise BudgetExceededError(f"search exceeded {budget} nodes",
+                                      needed=nodes, budget=budget)
         chars.append(stack[-1].pop())
-        if occurrences(chars, len(chars)):
+        if occurrences(chars[::-1], True):
             chars.pop()
 
 
@@ -94,7 +96,8 @@ def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,
     form if any does.  The witness is the least avoiding word in the order
     a < b < ... < hole, because the least one already has that form: at its
     first letter c past the next unused letter t, swapping c and t throughout
-    would give a smaller one.
+    would give a smaller one.  Trying more than `budget` characters raises
+    BudgetExceededError.
     """
     status, chars, nodes, _ = _search(kind, p.symbols, m, length, holes, budget)
     if status is SearchStatus.FOUND:
@@ -116,10 +119,7 @@ def exact_ramsey_length(kind: CountKind, p: Pattern, m: int, n_max: int,
     """
     if kind not in (CountKind.FULL, CountKind.ABELIAN):
         raise ValueError("exact forcing lengths cover FULL and ABELIAN")
-    status, _, nodes, deepest = _search(kind, p.symbols, m, n_max, None, budget)
-    if status is SearchStatus.BUDGET_EXCEEDED:
-        raise BudgetExceededError(f"forcing-length search exceeded {budget} nodes",
-                                  needed=nodes, budget=budget)
+    status, _, _, deepest = _search(kind, p.symbols, m, n_max, None, budget)
     if status is SearchStatus.FOUND:
         return None
     return deepest + 1

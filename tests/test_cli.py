@@ -166,6 +166,14 @@ def test_exit_code_budget(capsys):
     assert "budget" in err
 
 
+def test_exit_code_search_budget(capsys):
+    # a spent node budget is a budget failure for find as for ramsey
+    code, out, err = run(capsys, "search", "find", "--kind", "full",
+                         "-p", "abab", "-m", "3", "-n", "40", "--budget", "5")
+    assert (code, out) == (2, "")
+    assert "budget" in err
+
+
 def test_exit_code_tolerance(capsys):
     code, out, err = run(capsys, "stats", "--kind", "abelian",
                          "-p", "aba", "-m", "4", "-n", "10", "--eps", "1e-9")
@@ -198,7 +206,10 @@ def test_csv_format(capsys):
      ["ramsey_length", "searched_up_to"], ["5", "10"]),
     (("search", "ramsey", "--kind", "full", "-p", "aa", "-m", "3", "--n-max", "5"),
      ["ramsey_length", "searched_up_to"], ["", "5"]),
-], ids=["find", "ramsey", "ramsey-none"])
+    # past 26 letters the witness is a list of letters, joined like the inputs
+    (("search", "find", "--kind", "full", "-p", "aa", "-m", "27", "-n", "3"),
+     ["status", "witness", "nodes"], ["found", "0;1;0", "4"]),
+], ids=["find", "ramsey", "ramsey-none", "find-list"])
 def test_csv_dict_result_is_one_row_of_its_keys(capsys, argv, header, row):
     code, out, err = run(capsys, "--format", "csv", *argv)
     assert code == 0, err

@@ -36,9 +36,9 @@ def test_exhaustion_is_complete_at_desk_scale():
 
 
 def test_budget_exceeded_outcome():
-    outcome = find_avoiding(FULL, P("aba"), 2, 4, budget=2)
-    assert outcome.status is SearchStatus.BUDGET_EXCEEDED
-    assert outcome.nodes == 3
+    with pytest.raises(BudgetExceededError) as err:
+        find_avoiding(FULL, P("aba"), 2, 4, budget=2)
+    assert (err.value.needed, err.value.budget) == (3, 2)
 
 
 def test_found_witnesses_verify_for_all_kinds():
@@ -205,7 +205,7 @@ def test_pruning_checker_agrees_with_oracle_on_full_words(case, p, kind):
     # negative here would make EXHAUSTED outcomes unsound
     chars, m = case
     w = Word(tuple(chars), m)
-    closed = any(_walker(kind, m, p.symbols)(chars, end + 1)
+    closed = any(_walker(kind, m, p.symbols[::-1])(chars[end::-1], True)
                  for end in range(len(chars)))
     assert closed == (count(kind, w, p) >= 1)
 
@@ -216,7 +216,7 @@ def test_pruning_checker_agrees_with_oracle_on_full_words(case, p, kind):
 def test_pruning_checker_agrees_with_oracle_on_partial_words(case, p, kind):
     chars, m = case
     w = PartialWord(tuple(chars), m)
-    closed = any(_walker(kind, m, p.symbols)(chars, end + 1)
+    closed = any(_walker(kind, m, p.symbols[::-1])(chars[end::-1], True)
                  for end in range(len(chars)))
     assert closed == (count(kind, w, p) >= 1)
 
