@@ -351,11 +351,12 @@ def _first_occurrence_words(kind: CountKind, n: int, m: int, holes: int | None):
 
 
 def _stripe_total(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
-                  holes: int | None, mirror: bool, stride: int, offset: int) -> int:
+                  holes: int | None, stride: int, offset: int) -> int:
     """The weighted total over every stride-th word, from the offset-th on, of
-    the words in first-occurrence form (see the module docstring for mirror)."""
+    the words in first-occurrence form (see the module docstring)."""
     occurrences = _walker(kind, m, syms)
     weights = [perm(m, j) for j in range(min(m, n) + 1)]  # by distinct letters
+    mirror = _first_occurrence_form(syms[::-1]) == syms
     total = 0
     for chars in islice(_first_occurrence_words(kind, n, m, holes), offset, None, stride):
         weight = weights[max(chars) + 1]  # HOLE is -1
@@ -382,8 +383,7 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
     docstring), as one sequence: worker i of W sums every W-th word of it from
     the i-th on.  W is the requested workers, capped by the CPU count and by
     one worker per _WALKED_PER_WORKER words walked, estimated as the words
-    of the shape over m!, halved when p reads the same reversed up to
-    renaming; one worker sums in-process.
+    of the shape over m!; one worker sums in-process.
     Aggregation is an integer sum, so the split cannot change the result.
     """
     _check_shape(kind, n, m, holes)
@@ -392,10 +392,8 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
         raise BudgetExceededError(
             f"enumerating {pop} words exceeds the budget of {budget}",
             needed=pop, budget=budget)
-    mirror = _first_occurrence_form(p.symbols[::-1]) == p.symbols
-    walked = pop // perm(m) >> mirror
-    workers = max(1, min(workers, os.cpu_count() or 1, walked // _WALKED_PER_WORKER))
-    stripe_total = partial(_stripe_total, kind, n, m, p.symbols, holes, mirror, workers)
+    workers = max(1, min(workers, os.cpu_count() or 1, pop // perm(m) // _WALKED_PER_WORKER))
+    stripe_total = partial(_stripe_total, kind, n, m, p.symbols, holes, workers)
     if workers == 1:
         return stripe_total(0)
     # imported here: the pool machinery costs ~2 MB of memory that

@@ -643,24 +643,23 @@ class _InlinePool:
         return map(fn, *iterables)
 
 
-def _pool_sizes(monkeypatch, cpus, kind, n, m, holes, workers, walked_per_worker=1,
-                text="aba"):
-    """The pool sizes one total of p = text starts on a host with the given CPU
-    count, after checking that total against the in-process one."""
+def _pool_sizes(monkeypatch, cpus, kind, n, m, holes, workers, walked_per_worker=1):
+    """The pool sizes one total starts on a host with the given CPU count, after
+    checking that total against the in-process one."""
     monkeypatch.setattr(oracle, "_WALKED_PER_WORKER", walked_per_worker)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    p = Pattern.from_text(text)
+    p = Pattern.from_text("aba")
     expected = total_count(kind, n, m, p, holes=holes)
     assert total_count(kind, n, m, p, holes=holes, workers=workers) == expected
     return _InlinePool.sizes
 
 
 @pytest.mark.parametrize("kind, holes, cpus", [
-    (CountKind.FULL, None, 2),  # 16 words of the shape, over m! = 2 and halved: 4
-    (CountKind.PARTIAL_COLLAPSED, None, 10),  # 81 words: 20
-    (CountKind.PARTIAL_MORPHISM, 1, 6),  # 32 words: 8
+    (CountKind.FULL, None, 2),  # 16 words of the shape, over m! = 2: 8
+    (CountKind.PARTIAL_COLLAPSED, None, 10),  # 81 words: 40
+    (CountKind.PARTIAL_MORPHISM, 1, 6),  # 32 words: 16
 ])
 def test_worker_pool_is_capped_at_the_work_units(monkeypatch, kind, holes, cpus):
     # 5,000 workers asked for, fewer CPUs than words: one process per CPU
@@ -671,9 +670,8 @@ def test_worker_pool_is_capped_at_the_work_units(monkeypatch, kind, holes, cpus)
     (6, 2, 8, 8, [8]),  # as many as asked for
     (6, 3, 8, 8, [8]),
     (6, 2, 3, 8, [3]),
-    (2, 2, 5000, 8, []),  # at most one per 2 m! words of the shape, aba being a mirror
+    (2, 2, 5000, 8, [2]),  # at most one per m! words of the shape
     (6, 2, 8, 1, []),  # one worker sums in-process
-    (3, 2, 5000, 8, [2]),  # 8 words over 2 m!: 2
 ])
 def test_worker_pool_is_capped_at_the_workers_and_the_words(monkeypatch, n, m, workers,
                                                            cpus, sizes):
@@ -681,22 +679,14 @@ def test_worker_pool_is_capped_at_the_workers_and_the_words(monkeypatch, n, m, w
 
 
 @pytest.mark.parametrize("n, m, sizes", [
-    (5, 2, []),  # 32 words of the shape, about 8 walked
-    (10, 2, []),  # 1,024 words, 256 walked: forking costs more than the walk
-    (12, 2, []),  # 4,096 words, 1,024 walked
-    (7, 4, []),  # 16,384 words, but only about 16,384 / 4! / 2 = 341 walked
-    (13, 2, [2]),  # 8,192 words, 2,048 walked: one worker per 1,024
+    (5, 2, []),  # 32 words of the shape, about 16 walked
+    (10, 2, []),  # 1,024 words, 512 walked: forking costs more than the walk
+    (12, 2, [2]),  # 4,096 words, 2,048 walked: one worker per 1,024
+    (7, 4, []),  # 16,384 words, but only about 16,384 / 4! = 682 walked
 ])
 def test_worker_pool_starts_only_where_it_pays(monkeypatch, n, m, sizes):
-    # aba reads the same reversed, so half of the words over m! are walked
     assert _pool_sizes(monkeypatch, 8, CountKind.FULL, n, m, None, 2,
                        oracle._WALKED_PER_WORKER) == sizes
-
-
-def test_worker_pool_estimate_is_halved_only_for_mirror_patterns(monkeypatch):
-    # aab does not read the same reversed: 4,096 words, 2,048 walked
-    assert _pool_sizes(monkeypatch, 8, CountKind.FULL, 12, 2, None, 2,
-                       oracle._WALKED_PER_WORKER, "aab") == [2]
 
 
 # Outcomes of the benchmark's search questions, pinned to what the replaced
