@@ -7,16 +7,15 @@ through cli.main.
 A measurement pass times each row's call with time.perf_counter after a
 garbage collection.  A call that takes under LOOP_BELOW seconds varies too
 much from one timed run to the next, so such a row is timed as the mean of
-LOOP further calls, each after a collection.  A row keeps its fastest time
-over REPEAT passes; the oracle totals, which take seconds to minutes, run in
-the first pass only.  A row records its inputs, a hash of the result (so the
-two sides can be seen to give the same answer) and a work counter.  Rows that
-print a leading-term mean carry the printed floats instead, and the
-comparison reports their relative difference: a mean is a float evaluation,
-and the same value computed in another order may differ in its last bits.
-So do the abelian constants with k >= 3, whose truncation point moves with
-the tail bound (the value moves within eps); an abelian constant that raises
-ToleranceError records the error and its term count.
+LOOP further calls, each after a collection.  Every row, the oracle totals
+too, keeps its fastest time over REPEAT passes.  A row records its inputs, a
+hash of the result (so the two sides can be seen to give the same answer) and
+a work counter.  Rows that print a leading-term mean carry the printed floats
+instead, and the comparison reports their relative difference: a mean is a
+float evaluation, and the same value computed in another order may differ in
+its last bits.  So do the abelian constants with k >= 3, whose truncation
+point moves with the tail bound (the value moves within eps); an abelian
+constant that raises ToleranceError records the error and its term count.
 
     python scripts/bench.py                        # rows for the library on sys.path
     python scripts/bench.py --before OLD --after NEW --out BENCH.json
@@ -58,10 +57,14 @@ SERIES = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 300), ("ABELIAN", "a
 # kind, pattern, m, n_max; the ABELIAN scan stops at n = 10
 THRESHOLDS = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 2000)]
 PRINTED = (7, 3)  # double_uparrow(x, y) printed in full: 695,975 digits
-# (kind, pattern, n, m): the oracle totals of the ROADMAP baseline table, then
-# three at m = 3 and 4, where the letter permutations leave fewer words to walk
-TOTALS = [("FULL", "aba", 16, 2), ("ABELIAN", "aba", 14, 2), ("PARTIAL_COLLAPSED", "aba", 10, 2),
-          ("FULL", "aba", 11, 3), ("FULL", "abab", 9, 4), ("PARTIAL_COLLAPSED", "abba", 7, 4)]
+# (kind, pattern, n, m, holes): the oracle totals of the ROADMAP baseline table,
+# three at m = 3 and 4, where the letter permutations leave fewer words to walk,
+# and three of the benchmark's small partial totals, where the per-word set-up weighs most
+TOTALS = [("FULL", "aba", 16, 2, None), ("ABELIAN", "aba", 14, 2, None),
+          ("PARTIAL_COLLAPSED", "aba", 10, 2, None), ("FULL", "aba", 11, 3, None),
+          ("FULL", "abab", 9, 4, None), ("PARTIAL_COLLAPSED", "abba", 7, 4, None),
+          ("PARTIAL_COLLAPSED", "aba", 7, 2, None), ("PARTIAL_MORPHISM", "abba", 7, 2, None),
+          ("PARTIAL_COLLAPSED", "abba", 8, 2, 3)]
 FIND = ("FULL", "abab", 3, 40, None)  # kind, pattern, m, length, holes
 RAMSEY = ("FULL", "aba", 3, 12)  # kind, pattern, m, n_max
 # the occurrence kernel: count mode on fixed binary words (kind, pattern, length),
@@ -145,20 +148,21 @@ def _timed(call):
     return result, secs
 
 
-def measure(totals: bool = True) -> list[dict]:
-    """One measurement pass, each row timed by _timed; the oracle totals only if `totals`."""
+def measure() -> list[dict]:
+    """One measurement pass, each row timed by _timed."""
     from patstats import asymptotics, bounds, cli, genfunc, oracle, search
     from patstats.errors import ToleranceError
     from patstats.oracle import CountKind
     from patstats.words import Pattern, Word
 
     rows = []
-    for kind, text, n, m in TOTALS if totals else ():
+    for kind, text, n, m, holes in TOTALS:
         total, secs = _timed(lambda: oracle.total_count(CountKind[kind], n, m,
-                                                        Pattern.from_text(text)))
-        rows.append({"name": f"total_count({kind}, {text!r}, n={n}, m={m})", "layer": "oracle",
-                     "result_sha256": _digest(format(total, "x")),
-                     "work": {"words": oracle.population_size(CountKind[kind], n, m)},
+                                                        Pattern.from_text(text), holes=holes))
+        rows.append({"name": f"total_count({kind}, {text!r}, n={n}, m={m}"
+                             + (f", holes={holes})" if holes is not None else ")"),
+                     "layer": "oracle", "result_sha256": _digest(format(total, "x")),
+                     "work": {"words": oracle.population_size(CountKind[kind], n, m, holes)},
                      "seconds": secs})
     for layer, (kind, text, m, length, holes) in (("search", FIND), ("kernel", KERNEL_FIND)):
         outcome, secs = _timed(lambda: search.find_avoiding(
@@ -253,9 +257,9 @@ def _env(tree: str) -> dict:
     return dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
 
 
-def _pass(tree: str, totals: bool) -> list[dict]:
+def _pass(tree: str) -> list[dict]:
     code = (f"import json, runpy; measure = runpy.run_path({os.path.abspath(__file__)!r})"
-            f"['measure']; print(json.dumps(measure({totals})))")
+            f"['measure']; print(json.dumps(measure()))")
     out = subprocess.run([sys.executable, "-c", code], env=_env(tree), cwd=tree,
                          check=True, capture_output=True, text=True)
     return json.loads(out.stdout)
@@ -275,7 +279,7 @@ def compare(before: str, after: str) -> dict:
     passes = ([], [])
     for i in range(REPEAT):
         for side in (0, 1) if i % 2 == 0 else (1, 0):
-            passes[side].append(_pass(trees[side], totals=i == 0))
+            passes[side].append(_pass(trees[side]))
     old, new = (_fastest(passes[side]) + [_tier1(trees[side])] for side in (0, 1))
     rows = []
     for a, b in zip(old, new):
@@ -292,13 +296,12 @@ def compare(before: str, after: str) -> dict:
         row["after"] = {k: b[k] for k in keys if k in b}
         row["speedup"] = a["seconds"] / b["seconds"]
         rows.append(row)
-    return {"method": f"time.perf_counter, fastest of {REPEAT} passes per side (the oracle"
-                      " totals: first pass only), each row timed once per pass, as the mean of"
-                      f" {LOOP} calls after a first one when that takes under {LOOP_BELOW} s,"
-                      " the two sides back to back in each pass with the first side"
-                      " alternating, a garbage collection before each call; rows that print a"
-                      " leading-term mean report the relative difference of the printed"
-                      " floats; the tier-1 suite runs once per side",
+    return {"method": f"time.perf_counter, fastest of {REPEAT} passes per side, each row timed"
+                      f" once per pass, as the mean of {LOOP} calls after a first one when that"
+                      f" takes under {LOOP_BELOW} s, the two sides back to back in each pass"
+                      " with the first side alternating, a garbage collection before each call;"
+                      " rows that print a leading-term mean report the relative difference of"
+                      " the printed floats; the tier-1 suite runs once per side",
             "machine": {"python": platform.python_version(), "platform": platform.platform(),
                         "nproc": os.cpu_count()},
             "rows": rows}
@@ -316,7 +319,7 @@ def main() -> None:
     if args.before:
         report = compare(args.before, args.after)
     else:
-        report = _fastest([measure(totals=i == 0) for i in range(REPEAT)])
+        report = _fastest([measure() for _ in range(REPEAT)])
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as fh:

@@ -43,7 +43,10 @@ of a word w has the count and the weight of w, and w -> r is an involution
 on the words in first-occurrence form.  If r = w, reversal maps the orbit of
 w onto itself and w keeps its weight; otherwise the orbits of w and r are
 distinct with equal totals, so the smaller of w and r is walked with twice
-the weight and the larger skipped.
+the weight and the larger skipped.  r is never built: reading w backwards
+and renaming its letters in order of first appearance gives r letter by
+letter, and the first letter where r and w differ decides which is smaller
+(a word with a hole there is the smaller, HOLE being -1).
 """
 
 from __future__ import annotations
@@ -60,8 +63,10 @@ from .errors import BudgetExceededError
 from .words import HOLE, Pattern, PartialWord, Word
 
 DEFAULT_WORD_BUDGET = 5_000_000
-# total_count's words walked per worker, about the words of the shape over m!:
-# on 2 cores a second worker lost up to about 1,000 words and paid from 2,000.
+# total_count's words walked per worker, about the words of the shape over m!.
+# On 2 cores a second worker for aba paid from between 512 and 1,024 of them
+# (ABELIAN), 1,093 and 3,280 (PARTIAL_COLLAPSED) and 2,048 and 4,096 (FULL);
+# a pool from 2,048 loses least over the three.
 _WALKED_PER_WORKER = 1024
 
 
@@ -90,27 +95,33 @@ def _conflicts(masks: list[int], length: int) -> list[int]:
     return out
 
 
-def _plan(syms: tuple[int, ...], kind: CountKind) -> list[tuple]:
-    """Per pattern index: (c, free, after, grow) for a variable's first block,
-    where c counts the variable's blocks, free the later first blocks of other
-    variables, after the first index of the earlier variable whose copy comes
-    right after this block (-1 if none) and grow whether the block's match set
-    is kept; (0, first, others) for a later block, checked against the blocks
-    at those indices."""
+def _plan(syms: tuple[int, ...], kind: CountKind) -> list[tuple | None]:
+    """The walk's step table, indexed by pattern index: None at a bound
+    variable's block, and at a fresh variable's first block idx the tuple
+    (c, free, after, grow, placed, bound, nxt).  Here c counts the variable's
+    blocks, free the later first blocks of other variables, after is the first
+    index of the earlier variable whose copy comes right after block idx (-1
+    if none) and grow says whether the block's match set is kept.  bound lists
+    the blocks of bound variables that follow, up to the next fresh block nxt
+    (len(syms) if none), as (index, first, others): each is checked against
+    the block at first and, on partial words, the blocks at others.  When
+    placed, the copy filter of block idx has already put block idx + 1 in
+    place, so bound starts after it; block idx + 1 is left in bound when it
+    has blocks in between to check against."""
+    k = len(syms)
     firsts = [syms.index(v) for v in syms]
-    plan = []
-    for idx, v in enumerate(syms):
-        first = firsts[idx]
-        if first == idx:
-            c = syms.count(v)
-            after = firsts[idx + 1] if idx + 1 < len(syms) else idx
-            plan.append((c, len([f for f in firsts[idx + 1:] if f > idx]),
-                         after if after < idx else -1, c > 1 and kind is not CountKind.ABELIAN))
-        else:
-            others = [j for j in range(first + 1, idx) if syms[j] == v] \
-                if kind in PARTIAL_KINDS else ()
-            plan.append((0, first, others))
-    return plan
+    fresh = [idx for idx in range(k) if firsts[idx] == idx]
+    steps: list[tuple | None] = [None] * k
+    for n, (idx, nxt) in enumerate(zip(fresh, fresh[1:] + [k])):
+        bound = [(i, firsts[i], tuple(j for j in range(firsts[i] + 1, i) if syms[j] == syms[i])
+                  if kind in PARTIAL_KINDS else ())
+                 for i in range(idx + 1, nxt)]
+        after = firsts[idx + 1] if bound and firsts[idx + 1] < idx else -1
+        placed = after >= 0 and not bound[0][2]
+        c = syms.count(syms[idx])
+        steps[idx] = (c, len(fresh) - n - 1, after, c > 1 and kind is not CountKind.ABELIAN,
+                      placed, tuple(bound[placed:]), nxt)
+    return steps
 
 
 def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
@@ -122,6 +133,13 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
     coordinate.  Anchored mode: 1 if some occurrence starts at 0, else 0,
     walked from start 0 alone and stopped at the first occurrence; the two
     partial conventions agree there, every weight being at least 1.
+
+    What the pattern alone fixes is prepared once per walker: the step table
+    of _plan, the walk and the weight, and the arrays of block starts, lengths
+    and match sets they fill in.  A call only binds the word's state (its
+    letter masks, prefix sums, conflict masks and the ABELIAN windows) and
+    adds up the walks from each start.  So a walker answers one call at a
+    time; callers build one per count, per stripe of a total and per search.
 
     Blocks are placed left to right, and a repeated variable's later blocks
     are checked without slicing.  FULL and the partial kinds keep a match set
@@ -137,35 +155,117 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
     read off prefix sums packed in one int per position (base 2^bits > hi, so
     no packed count carries).
 
-    Lengths.  When the block right after a fresh variable's first block is a
-    copy of an earlier variable, the only admissible lengths are those that
-    put a copy of that variable's block there, and they are read off the set
-    bits of its match set; ABELIAN groups the starts of the windows of each
-    block length by packed histogram, once per length within the call.  For
-    FULL and ABELIAN these are exactly the lengths whose next block passes;
-    for the partial kinds they pass the first-block test, and the conflict
-    masks still check the blocks in between.  A fresh block followed by
-    another fresh block or by its own copy (aa, abba) tries every length.
-    The length equation bounds them all: which variables are bound at each
-    index is fixed by the pattern, so a fresh variable occurring c times from
-    here on gets a length of at most (room - fixed - free) // c, where fixed
-    is the total length of the later blocks of bound variables and free the
-    number of later blocks of still-fresh ones.  A match set only loses bits
-    as its block grows, so a repeated variable's lengths stop once no copy can
-    start right of its block (an all-hole block keeps every bit).  Every
-    occurrence is still found, and counted or weighted, one at a time.
+    Lengths.  A fresh variable's first block tries its lengths as the set bits
+    of one int, lowest first.  When the block right after it is a copy of an
+    earlier variable, the only admissible lengths are those that put a copy of
+    that variable's block there: the int is its match set, shifted to the
+    block's start, and the copy is placed with the length.  ABELIAN groups the
+    starts of the windows of each block length by packed histogram, once per
+    length within the call.  For FULL and ABELIAN these are exactly the
+    lengths whose next block passes; for the partial kinds they pass the
+    first-block test, and the conflict masks still check the blocks in
+    between.  A fresh block followed by another fresh block or by its own copy
+    (aa, abba) tries every length.  The length equation bounds them all:
+    which variables are bound at each index is fixed by the pattern, so a
+    fresh variable occurring c times from here on gets a length of at most
+    (room - fixed - free) // c, where fixed is the total length of the later
+    blocks of bound variables and free the number of later blocks of
+    still-fresh ones.  A match set only loses bits as its block grows, so a
+    repeated variable's lengths stop once no copy can start right of its block
+    (an all-hole block keeps every bit).  Every occurrence is still found, and
+    counted or weighted, one at a time.
     """
     k = len(syms)
     partial_kind = kind in PARTIAL_KINDS
     abelian = kind is CountKind.ABELIAN
-    plan = _plan(syms, kind)
-    checked = any(not entry[0] and entry[2] for entry in plan)
+    steps = _plan(syms, kind)
+    checked = any(others for step in steps if step for _, _, others in step[5])
     groups = [[j for j, u in enumerate(syms) if u == v] for v in set(syms)] \
         if kind is CountKind.PARTIAL_MORPHISM else ()
+    at = [0] * k     # start of each placed block
+    size = [0] * k   # the length of each placed first block
+    match = [0] * k  # per first block: the starts of its copies
+    # the word's state, bound by each call
+    word = masks = conf = pref = windows = None
+    hi = holes = 0
+    stop = weighted = False
+
+    def weight() -> int:
+        w = 1
+        for group in groups:
+            free = (1 << size[group[0]]) - 1
+            for j in group:
+                free &= holes >> at[j]
+            w *= m ** free.bit_count()
+        return w
+
+    def walk(idx: int, pos: int, fixed: int) -> int:
+        """Occurrences whose block idx, a fresh variable's first, starts at pos."""
+        c, free, after, grow, placed, bound, nxt = steps[idx]
+        at[idx] = pos
+        top = (hi - pos - fixed - free) // c
+        if top < 1:
+            return 0
+        if after < 0:
+            x = (1 << top) - 1  # every length
+        else:  # the next block copies block `after`: start it at one of its copies
+            copy = size[after]
+            if abelian:
+                table = windows.get(copy)
+                if table is None:
+                    table = windows[copy] = {}
+                    for q, h in enumerate(map(sub, pref[copy:], pref)):
+                        table[h] = table.get(h, 0) | 1 << q
+                s = at[after]
+                x = table[pref[s + copy] - pref[s]]
+            else:
+                x = match[after]
+            x = (x >> (pos + 1)) & ((1 << top) - 1)
+        cur, grown = -1, 0  # the match set of the empty block: every start
+        total = 0
+        while x:  # bit length - 1 is set in x for each length left to try
+            low = x & -x
+            x ^= low
+            length = low.bit_length()
+            size[idx] = length
+            if grow:
+                while grown < length:
+                    cur &= masks[word[pos + grown]] >> grown
+                    grown += 1
+                match[idx] = cur
+                if not cur >> (pos + length):  # no copy to the right, now or longer
+                    break
+            p, f = pos + length, fixed + (c - 1) * length
+            if placed:  # the filter put block idx + 1 at p
+                at[idx + 1] = p
+                p, f = p + copy, f - copy
+            for i, first, others in bound:
+                step = size[first]
+                if abelian:
+                    s = at[first]
+                    if pref[p + step] - pref[p] != pref[s + step] - pref[s]:
+                        break
+                else:
+                    if not match[first] >> p & 1:
+                        break
+                    if others:
+                        mask, clash = (1 << step) - 1, 0
+                        for j in others:
+                            clash |= (conf[p - at[j]] >> at[j]) & mask
+                        if clash:
+                            break
+                at[i] = p
+                p, f = p + step, f - step
+            else:
+                found = walk(nxt, p, f) if nxt < k else weight() if weighted else 1
+                if found and stop:
+                    return 1
+                total += found
+        return total
 
     def occurrences(chars, anchored: bool = False) -> int:
-        hi = len(chars)
-        starts = (0,) if anchored else range(hi - k + 1)
+        nonlocal word, hi, masks, holes, conf, pref, windows, stop, weighted
+        word, hi, stop = chars, len(chars), anchored
         weighted = bool(groups) and not anchored
         if abelian:
             unit = [(1 << hi.bit_length()) ** c for c in range(m)]
@@ -180,89 +280,12 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
                 conf = _conflicts(masks[:m], hi)
             if partial_kind:
                 masks = [x | holes for x in masks[:m]] + [-1]
-        at = [0] * k     # start of each placed block
-        size = [0] * k   # its length
-        match = [0] * k  # per first block: the starts of its copies
-
-        def weight() -> int:
-            w = 1
-            for group in groups:
-                free = (1 << size[group[0]]) - 1
-                for j in group:
-                    free &= holes >> at[j]
-                w *= m ** free.bit_count()
-            return w
-
-        def walk(idx: int, pos: int, fixed: int) -> int:
-            """Occurrences whose block idx, a fresh variable's first, starts at pos."""
-            c, free, after, grow = plan[idx]
-            at[idx] = pos
-            top = (hi - pos - fixed - free) // c
-            if after < 0:
-                lengths, copy = range(1, top + 1), 0
-            elif top < 1:
-                return 0
-            else:  # the next block copies block `after`: start it at one of its copies
-                copy = size[after]
-                if abelian:
-                    table = windows.get(copy)
-                    if table is None:
-                        table = windows[copy] = {}
-                        for q, h in enumerate(map(sub, pref[copy:], pref)):
-                            table[h] = table.get(h, 0) | 1 << q
-                    s = at[after]
-                    x = table[pref[s + copy] - pref[s]]
-                else:
-                    x = match[after]
-                x = (x >> (pos + 1)) & ((1 << top) - 1)
-                if not x:
-                    return 0
-                lengths = []
-                while x:
-                    low = x & -x
-                    lengths.append(low.bit_length())
-                    x ^= low
-                if plan[idx + 1][2]:  # more blocks to check it against
-                    copy = 0
-            cur, grown = -1, 0  # the match set of the empty block: every start
-            total = 0
-            for length in lengths:
-                size[idx] = length
-                if grow:
-                    while grown < length:
-                        cur &= masks[chars[pos + grown]] >> grown
-                        grown += 1
-                    match[idx] = cur
-                    if not cur >> (pos + length):  # no copy to the right, now or longer
-                        break
-                i, p, f = idx + 1, pos + length, fixed + (c - 1) * length
-                if copy:  # the filter placed block i already
-                    at[i], size[i] = p, copy
-                    i, p, f = i + 1, p + copy, f - copy
-                while i < k and not plan[i][0]:  # the blocks of bound variables
-                    _, first, others = plan[i]
-                    step = size[first]
-                    if abelian:
-                        s = at[first]
-                        clash = pref[p + step] - pref[p] != pref[s + step] - pref[s]
-                    else:
-                        clash = not match[first] >> p & 1
-                        if others and not clash:
-                            mask = (1 << step) - 1
-                            for j in others:
-                                clash |= (conf[p - at[j]] >> at[j]) & mask
-                    if clash:
-                        break
-                    at[i], size[i] = p, step
-                    p, f, i = p + step, f - step, i + 1
-                else:
-                    found = walk(i, p, f) if i < k else weight() if weighted else 1
-                    if found and anchored:
-                        return 1
-                    total += found
-            return total
-
-        return sum(walk(0, lo, 0) for lo in starts)
+        if anchored:
+            return walk(0, 0, 0)
+        total = 0
+        for lo in range(hi - k + 1):
+            total += walk(0, lo, 0)
+        return total
 
     return occurrences
 
@@ -316,11 +339,16 @@ def population_size(kind: CountKind, n: int, m: int, holes: int | None = None) -
     return comb(n, holes) * m ** (n - holes)
 
 
-def _first_occurrence_form(chars) -> tuple[int, ...]:
-    """chars with its letters renamed 0, 1, ... in order of first appearance;
-    holes stay holes."""
+def _mirror_order(chars) -> int:
+    """-1, 0 or 1 as the first-occurrence form of chars reversed is less than,
+    equal to or greater than chars, compared letter by letter up to the first
+    difference."""
     names = {HOLE: HOLE}
-    return tuple([names.setdefault(c, len(names) - 1) for c in chars])
+    for c, d in zip(reversed(chars), chars):
+        r = names.setdefault(c, len(names) - 1)
+        if r != d:
+            return -1 if r < d else 1
+    return 0
 
 
 def _first_occurrence_words(kind: CountKind, n: int, m: int, holes: int | None):
@@ -356,15 +384,15 @@ def _stripe_total(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
     the words in first-occurrence form (see the module docstring)."""
     occurrences = _walker(kind, m, syms)
     weights = [perm(m, j) for j in range(min(m, n) + 1)]  # by distinct letters
-    mirror = _first_occurrence_form(syms[::-1]) == syms
+    mirror = not _mirror_order(syms)  # syms is in first-occurrence form
     total = 0
     for chars in islice(_first_occurrence_words(kind, n, m, holes), offset, None, stride):
         weight = weights[max(chars) + 1]  # HOLE is -1
         if mirror:
-            r = _first_occurrence_form(reversed(chars))
-            if r < chars:
+            order = _mirror_order(chars)
+            if order < 0:
                 continue
-            if r != chars:
+            if order:
                 weight *= 2
         total += weight * occurrences(chars)
     return total

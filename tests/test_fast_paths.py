@@ -17,9 +17,12 @@ of products of truncated series; the product form, with each geometric factor
 written out term by term as the genfunc docstring derives it, is the reference.
 The oracle's three walkers and the search's segment matcher became one
 occurrence kernel with slice-free block checks and the length equation; the
-replaced walkers are the reference.  Totals walk one word per orbit of the
-letter permutations and, for patterns that read the same reversed, reversal;
-the reference sums every word.  The search tries only words in
+replaced walkers are the reference, and a walker reused from word to word
+answers as a fresh walker per word does.  Totals walk one word per orbit of
+the letter permutations and, for patterns that read the same reversed,
+reversal; the reference sums every word, and the reversed word's
+first-occurrence form, built whole, is the reference for the letter-by-letter
+test that picks one word of each reversed pair.  The search tries only words in
 first-occurrence form; a search that tries every letter is the reference, and
 the search outcomes the replaced walkers produced are pinned.
 """
@@ -605,6 +608,41 @@ def test_closes_occurrence_matches_replaced_matcher_at_every_end(kind, length, t
     for end in range(length):
         assert _walker(kind, 2, syms[::-1])(chars[end::-1], True) == \
             _reference_closes(chars, end, syms, 2, kind), end
+
+
+@pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("text", KERNEL_PATTERNS)
+def test_one_walker_answers_a_sequence_of_words_as_fresh_walkers_do(kind, text):
+    # a walker keeps its block arrays and rebinds the word's state per call, so
+    # a longer word goes before each shorter one (stale masks, prefix sums,
+    # conflict masks or windows would show) and the modes alternate
+    syms = Pattern.from_text(text).symbols
+    for m in (1, 2, 3):
+        rng = random.Random(f"{kind.value} {text} {m}")
+        alphabet = list(range(m)) + ([HOLE] if kind in PARTIAL_KINDS else [])
+        occurrences = _walker(kind, m, syms)
+        for i, length in enumerate([23, 5, 17, 2, 1, 30, 9, 12, 3, 8]):
+            chars = tuple(rng.choice(alphabet) for _ in range(length))
+            for anchored in (i % 2 == 1, i % 2 == 0):
+                assert occurrences(chars, anchored) == \
+                    _walker(kind, m, syms)(chars, anchored), (m, chars, anchored)
+
+
+def _mirror_order_by_form(chars):
+    names = {HOLE: HOLE}  # the reversed word, its letters renamed in order of first appearance
+    reverse = tuple(names.setdefault(c, len(names) - 1) for c in reversed(chars))
+    return (reverse > chars) - (reverse < chars)
+
+
+@pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_mirror_order_matches_reversed_first_occurrence_form(kind, n, m):
+    # the letter-by-letter comparison stops at the first difference; the
+    # reference builds the whole first-occurrence form of the reversed word
+    for holes in [None] + (list(range(n + 1)) if kind in PARTIAL_KINDS else []):
+        for chars in oracle._first_occurrence_words(kind, n, m, holes):
+            assert oracle._mirror_order(chars) == _mirror_order_by_form(chars), chars
 
 
 @pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
