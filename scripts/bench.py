@@ -59,12 +59,14 @@ THRESHOLDS = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 2000)]
 PRINTED = (7, 3)  # double_uparrow(x, y) printed in full: 695,975 digits
 # (kind, pattern, n, m, holes): the oracle totals of the ROADMAP baseline table,
 # three at m = 3 and 4, where the letter permutations leave fewer words to walk,
-# and three of the benchmark's small partial totals, where the per-word set-up weighs most
+# three of the benchmark's small partial totals, where the per-word set-up weighs
+# most, and one for a pattern that does not read the same reversed, so every word
+# in first-occurrence form is walked
 TOTALS = [("FULL", "aba", 16, 2, None), ("ABELIAN", "aba", 14, 2, None),
           ("PARTIAL_COLLAPSED", "aba", 10, 2, None), ("FULL", "aba", 11, 3, None),
           ("FULL", "abab", 9, 4, None), ("PARTIAL_COLLAPSED", "abba", 7, 4, None),
           ("PARTIAL_COLLAPSED", "aba", 7, 2, None), ("PARTIAL_MORPHISM", "abba", 7, 2, None),
-          ("PARTIAL_COLLAPSED", "abba", 8, 2, 3)]
+          ("PARTIAL_COLLAPSED", "abba", 8, 2, 3), ("FULL", "aab", 12, 2, None)]
 FIND = ("FULL", "abab", 3, 40, None)  # kind, pattern, m, length, holes
 RAMSEY = ("FULL", "aba", 3, 12)  # kind, pattern, m, n_max
 # the occurrence kernel: count mode on fixed binary words (kind, pattern, length),

@@ -47,6 +47,17 @@ the weight and the larger skipped.  r is never built: reading w backwards
 and renaming its letters in order of first appearance gives r letter by
 letter, and the first letter where r and w differ decides which is smaller
 (a word with a hole there is the smaller, HOLE being -1).
+
+Each word in first-occurrence form is walked reversed.  Reversal is a
+bijection on the words of the shape and commutes with renaming letters, so
+the total over all words is also the sum of the counts of their reverses, and
+the reverse of every word in the orbit of w has the count of the reverse of
+w.  So the weighted sum of the counts of the reversed words is the total,
+whether p reads the same reversed or not; the weight and the mirror test still
+read w itself.  The words come in product order, last position fastest, so
+their reverses change first position fastest and consecutive ones share their
+longest suffix, and the walker walks only the starts left of the suffix a
+word shares with the one before (see _walker).
 """
 
 from __future__ import annotations
@@ -64,10 +75,12 @@ from .words import HOLE, Pattern, PartialWord, Word
 
 DEFAULT_WORD_BUDGET = 5_000_000
 # total_count's words walked per worker, about the words of the shape over m!.
-# On 2 cores a second worker for aba paid from between 512 and 1,024 of them
-# (ABELIAN), 1,093 and 3,280 (PARTIAL_COLLAPSED) and 2,048 and 4,096 (FULL);
-# a pool from 2,048 loses least over the three.
-_WALKED_PER_WORKER = 1024
+# Consecutive words share the walks of their common suffix, and a worker's
+# stride shares shorter ones.  On 2 cores a second worker for aba paid from
+# between 1,024 and 2,048 of them (ABELIAN), 3,280 and 9,841
+# (PARTIAL_COLLAPSED) and 4,096 and 8,192 (FULL); a pool from 8,192 is the
+# first that pays for all three.
+_WALKED_PER_WORKER = 4096
 
 
 class CountKind(enum.Enum):
@@ -98,16 +111,18 @@ def _conflicts(masks: list[int], length: int) -> list[int]:
 def _plan(syms: tuple[int, ...], kind: CountKind) -> list[tuple | None]:
     """The walk's step table, indexed by pattern index: None at a bound
     variable's block, and at a fresh variable's first block idx the tuple
-    (c, free, after, grow, placed, bound, nxt).  Here c counts the variable's
-    blocks, free the later first blocks of other variables, after is the first
-    index of the earlier variable whose copy comes right after block idx (-1
-    if none) and grow says whether the block's match set is kept.  bound lists
-    the blocks of bound variables that follow, up to the next fresh block nxt
-    (len(syms) if none), as (index, first, others): each is checked against
-    the block at first and, on partial words, the blocks at others.  When
-    placed, the copy filter of block idx has already put block idx + 1 in
-    place, so bound starts after it; block idx + 1 is left in bound when it
-    has blocks in between to check against."""
+    (c, free, after, grow, placed, bound, nxt, last).  Here c counts the
+    variable's blocks, free the later first blocks of other variables, after
+    is the first index of the earlier variable whose copy comes right after
+    block idx (-1 if none) and grow says whether the block's match set is
+    kept.  bound lists the blocks of bound variables that follow, up to the
+    next fresh block nxt (len(syms) if none), as (index, first, others): each
+    is checked against the block at first and, on partial words, the blocks at
+    others.  When placed, the copy filter of block idx has already put block
+    idx + 1 in place, so bound starts after it; block idx + 1 is left in bound
+    when it has blocks in between to check against.  last marks the last
+    fresh block when nothing is left to check after it and its match set is
+    not kept (b in aba): there each length left to try is one occurrence."""
     k = len(syms)
     firsts = [syms.index(v) for v in syms]
     fresh = [idx for idx in range(k) if firsts[idx] == idx]
@@ -119,8 +134,10 @@ def _plan(syms: tuple[int, ...], kind: CountKind) -> list[tuple | None]:
         after = firsts[idx + 1] if bound and firsts[idx + 1] < idx else -1
         placed = after >= 0 and not bound[0][2]
         c = syms.count(syms[idx])
-        steps[idx] = (c, len(fresh) - n - 1, after, c > 1 and kind is not CountKind.ABELIAN,
-                      placed, tuple(bound[placed:]), nxt)
+        grow = c > 1 and kind is not CountKind.ABELIAN
+        bound = tuple(bound[placed:])
+        steps[idx] = (c, len(fresh) - n - 1, after, grow, placed, bound, nxt,
+                      nxt == k and not bound and not grow)
     return steps
 
 
@@ -138,8 +155,21 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
     of _plan, the walk and the weight, and the arrays of block starts, lengths
     and match sets they fill in.  A call only binds the word's state (its
     letter masks, prefix sums, conflict masks and the ABELIAN windows) and
-    adds up the walks from each start.  So a walker answers one call at a
+    adds up the walks from its starts.  So a walker answers one call at a
     time; callers build one per count, per stripe of a total and per search.
+
+    Kept counts.  The walk from a start reads only the letters from that start
+    on: it depends on hi - pos, on the match-set bits and conflict bits at or
+    past pos, on the prefix-sum differences of windows right of pos and on
+    holes >> at[j].  So a word that ends in the same suffix as the last word
+    counted has the same walks from the starts in that suffix.  Count mode
+    keeps, per suffix length L, the total of the walks from the last L starts
+    of the last word counted, finds the suffix the new word shares with it by
+    comparing from the right, and walks only the starts left of it.  Anchored
+    calls bind their word's state but leave the kept counts alone.  Each
+    count is still the sum of walks that found its occurrences one at a time;
+    a walk is only not repeated for the next word that has the same letters
+    from its start on.
 
     Blocks are placed left to right, and a repeated variable's later blocks
     are checked without slicing.  FULL and the partial kinds keep a match set
@@ -173,7 +203,11 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
     still-fresh ones.  A match set only loses bits as its block grows, so a
     repeated variable's lengths stop once no copy can start right of its block
     (an all-hole block keeps every bit).  Every occurrence is still found, and
-    counted or weighted, one at a time.
+    counted or weighted, one at a time.  At the last fresh block, when nothing
+    is left to check after it and its match set is not kept (b in aba), each
+    length left to try is one occurrence: count mode counts them by clearing
+    the lowest bit once per occurrence, and anchored mode asks whether any is
+    left.  PARTIAL_MORPHISM count mode still places each one to weigh it.
     """
     k = len(syms)
     partial_kind = kind in PARTIAL_KINDS
@@ -189,6 +223,8 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
     word = masks = conf = pref = windows = None
     hi = holes = 0
     stop = weighted = False
+    # kept[L]: the occurrences from the last L starts of the last word counted
+    kept, counted = [0] * k, ()
 
     def weight() -> int:
         w = 1
@@ -201,7 +237,7 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
 
     def walk(idx: int, pos: int, fixed: int) -> int:
         """Occurrences whose block idx, a fresh variable's first, starts at pos."""
-        c, free, after, grow, placed, bound, nxt = steps[idx]
+        c, free, after, grow, placed, bound, nxt, last = steps[idx]
         at[idx] = pos
         top = (hi - pos - fixed - free) // c
         if top < 1:
@@ -221,6 +257,14 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
             else:
                 x = match[after]
             x = (x >> (pos + 1)) & ((1 << top) - 1)
+        if last and not weighted:  # each length left to try is one occurrence
+            if stop:
+                return 1 if x else 0
+            total = 0
+            while x:
+                x &= x - 1
+                total += 1
+            return total
         cur, grown = -1, 0  # the match set of the empty block: every start
         total = 0
         while x:  # bit length - 1 is set in x for each length left to try
@@ -264,7 +308,7 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
         return total
 
     def occurrences(chars, anchored: bool = False) -> int:
-        nonlocal word, hi, masks, holes, conf, pref, windows, stop, weighted
+        nonlocal word, hi, masks, holes, conf, pref, windows, stop, weighted, counted
         word, hi, stop = chars, len(chars), anchored
         weighted = bool(groups) and not anchored
         if abelian:
@@ -282,10 +326,16 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
                 masks = [x | holes for x in masks[:m]] + [-1]
         if anchored:
             return walk(0, 0, 0)
-        total = 0
-        for lo in range(hi - k + 1):
-            total += walk(0, lo, 0)
-        return total
+        same = 0  # the length of the suffix chars shares with the word counted last
+        for a, b in zip(reversed(chars), reversed(counted)):
+            if a != b:
+                break
+            same += 1
+        del kept[max(same + 1, k):]
+        for lo in range(hi - len(kept), -1, -1):
+            kept.append(kept[-1] + walk(0, lo, 0))
+        counted = tuple(chars)
+        return kept[hi]
 
     return occurrences
 
@@ -381,7 +431,8 @@ def _first_occurrence_words(kind: CountKind, n: int, m: int, holes: int | None):
 def _stripe_total(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
                   holes: int | None, stride: int, offset: int) -> int:
     """The weighted total over every stride-th word, from the offset-th on, of
-    the words in first-occurrence form (see the module docstring)."""
+    the words in first-occurrence form, each walked reversed (see the module
+    docstring)."""
     occurrences = _walker(kind, m, syms)
     weights = [perm(m, j) for j in range(min(m, n) + 1)]  # by distinct letters
     mirror = not _mirror_order(syms)  # syms is in first-occurrence form
@@ -394,7 +445,7 @@ def _stripe_total(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
                 continue
             if order:
                 weight *= 2
-        total += weight * occurrences(chars)
+        total += weight * occurrences(chars[::-1])
     return total
 
 

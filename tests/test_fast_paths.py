@@ -17,12 +17,12 @@ of products of truncated series; the product form, with each geometric factor
 written out term by term as the genfunc docstring derives it, is the reference.
 The oracle's three walkers and the search's segment matcher became one
 occurrence kernel with slice-free block checks and the length equation; the
-replaced walkers are the reference, and a walker reused from word to word
-answers as a fresh walker per word does.  Totals walk one word per orbit of
-the letter permutations and, for patterns that read the same reversed,
-reversal; the reference sums every word, and the reversed word's
-first-occurrence form, built whole, is the reference for the letter-by-letter
-test that picks one word of each reversed pair.  The search tries only words in
+replaced walkers are the reference, and a walker reused from word to word,
+which keeps its counts per suffix, answers as a fresh walker per word does.
+Totals walk one word per orbit of the letter permutations and, for patterns
+that read the same reversed, reversal; the reference sums every word, and the
+reversed word's first-occurrence form, built whole, is the reference for the
+letter-by-letter test that picks one word of each reversed pair.  The search tries only words in
 first-occurrence form; a search that tries every letter is the reference, and
 the search outcomes the replaced walkers produced are pinned.
 """
@@ -610,22 +610,61 @@ def test_closes_occurrence_matches_replaced_matcher_at_every_end(kind, length, t
             _reference_closes(chars, end, syms, 2, kind), end
 
 
+def _front_edits(rng, alphabet, length):
+    """Words that each add a letter at the front of the last one, drop its
+    first letter or change one of its middle letters."""
+    chars = [rng.choice(alphabet) for _ in range(length)]
+    for _ in range(60):
+        edit = rng.randrange(3) if len(chars) > 2 else 0
+        if edit == 0:
+            chars.insert(0, rng.choice(alphabet))
+        elif edit == 1:
+            del chars[0]
+        else:
+            chars[rng.randrange(1, len(chars) - 1)] = rng.choice(alphabet)
+        yield tuple(chars)
+
+
+def _suffixes_and_lengths(rng, alphabet):
+    """Suffixes of one word, longer and shorter by turns, then words of
+    changing lengths that end in its last four letters."""
+    base = tuple(rng.choice(alphabet) for _ in range(16))
+    for length in (16, 3, 11, 0, 7, 16, 1, 9, 14, 5, 15, 2):
+        yield base[16 - length:]
+    for length in (4, 13, 6, 20, 1, 10, 18, 8):
+        yield tuple(rng.choice(alphabet) for _ in range(length)) + base[12:]
+
+
 @pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("text", KERNEL_PATTERNS)
 def test_one_walker_answers_a_sequence_of_words_as_fresh_walkers_do(kind, text):
-    # a walker keeps its block arrays and rebinds the word's state per call, so
-    # a longer word goes before each shorter one (stale masks, prefix sums,
-    # conflict masks or windows would show) and the modes alternate
+    # a walker keeps its block arrays and rebinds the word's state per call,
+    # so random words put a longer word before each shorter one (stale masks,
+    # prefix sums, conflict masks or windows would show).  In count mode it
+    # also keeps one count per suffix length of the word it counted last and
+    # walks only the starts left of the suffix the next word shares with it:
+    # the first-occurrence words reversed, as a total walks them, share long
+    # suffixes, and edits at the front and in the middle and changes of
+    # length move the shared suffix both ways.  Every other count is followed
+    # by an anchored call on the next word, which must leave the kept counts
+    # of the word before alone
     syms = Pattern.from_text(text).symbols
     for m in (1, 2, 3):
         rng = random.Random(f"{kind.value} {text} {m}")
         alphabet = list(range(m)) + ([HOLE] if kind in PARTIAL_KINDS else [])
-        occurrences = _walker(kind, m, syms)
-        for i, length in enumerate([23, 5, 17, 2, 1, 30, 9, 12, 3, 8]):
-            chars = tuple(rng.choice(alphabet) for _ in range(length))
-            for anchored in (i % 2 == 1, i % 2 == 0):
-                assert occurrences(chars, anchored) == \
-                    _walker(kind, m, syms)(chars, anchored), (m, chars, anchored)
+        randoms = [tuple(rng.choice(alphabet) for _ in range(length))
+                   for length in [23, 5, 17, 2, 1, 30, 9, 12, 3, 8]]
+        reversed_words = [chars[::-1] for n in range(1, 8)
+                          for chars in oracle._first_occurrence_words(kind, n, m, None)]
+        for words in (randoms, reversed_words, list(_front_edits(rng, alphabet, 9)),
+                      list(_suffixes_and_lengths(rng, alphabet))):
+            occurrences = _walker(kind, m, syms)
+            for i, chars in enumerate(words):
+                assert occurrences(chars) == _walker(kind, m, syms)(chars), (m, chars)
+                if i % 2 and i + 1 < len(words):
+                    probe = words[i + 1]
+                    assert occurrences(probe, True) == _walker(kind, m, syms)(probe, True), \
+                        (m, probe)
 
 
 def _mirror_order_by_form(chars):
@@ -719,8 +758,9 @@ def test_worker_pool_is_capped_at_the_workers_and_the_words(monkeypatch, n, m, w
 @pytest.mark.parametrize("n, m, sizes", [
     (5, 2, []),  # 32 words of the shape, about 16 walked
     (10, 2, []),  # 1,024 words, 512 walked: forking costs more than the walk
-    (12, 2, [2]),  # 4,096 words, 2,048 walked: one worker per 1,024
+    (12, 2, []),  # 4,096 words, 2,048 walked: still in-process
     (7, 4, []),  # 16,384 words, but only about 16,384 / 4! = 682 walked
+    (14, 2, [2]),  # 16,384 words, 8,192 walked: one worker per 4,096
 ])
 def test_worker_pool_starts_only_where_it_pays(monkeypatch, n, m, sizes):
     assert _pool_sizes(monkeypatch, 8, CountKind.FULL, n, m, None, 2,
