@@ -67,8 +67,10 @@ TOTALS = [("FULL", "aba", 16, 2, None), ("ABELIAN", "aba", 14, 2, None),
           ("FULL", "abab", 9, 4, None), ("PARTIAL_COLLAPSED", "abba", 7, 4, None),
           ("PARTIAL_COLLAPSED", "aba", 7, 2, None), ("PARTIAL_MORPHISM", "abba", 7, 2, None),
           ("PARTIAL_COLLAPSED", "abba", 8, 2, 3), ("FULL", "aab", 12, 2, None)]
-FIND = ("FULL", "abab", 3, 40, None)  # kind, pattern, m, length, holes
-RAMSEY = ("FULL", "aba", 3, 12)  # kind, pattern, m, n_max
+# the ROADMAP baseline searches, (kind, pattern, m, length, holes) and (kind,
+# pattern, m, n_max); the second of each builds long prefixes
+FINDS = [("FULL", "abab", 3, 40, None), ("FULL", "abab", 3, 300, None)]
+RAMSEYS = [("FULL", "aba", 3, 12), ("FULL", "abacaba", 2, 30)]
 # the occurrence kernel: count mode on fixed binary words (kind, pattern, length),
 # anchored mode through the searches (kind, pattern, m, length or n_max, holes)
 KERNEL_COUNTS = [("FULL", "abab", 100), ("ABELIAN", "aba", 70)]
@@ -166,7 +168,8 @@ def measure() -> list[dict]:
                      "layer": "oracle", "result_sha256": _digest(format(total, "x")),
                      "work": {"words": oracle.population_size(CountKind[kind], n, m, holes)},
                      "seconds": secs})
-    for layer, (kind, text, m, length, holes) in (("search", FIND), ("kernel", KERNEL_FIND)):
+    for layer, (kind, text, m, length, holes) in ([("search", find) for find in FINDS]
+                                                  + [("kernel", KERNEL_FIND)]):
         outcome, secs = _timed(lambda: search.find_avoiding(
             CountKind[kind], Pattern.from_text(text), m, length, holes=holes))
         witness = None if outcome.witness is None else outcome.witness.to_text()
@@ -174,7 +177,8 @@ def measure() -> list[dict]:
                              + (f", holes={holes})" if holes is not None else ")"),
                      "layer": layer, "result_sha256": _digest(f"{outcome.status.value} {witness}"),
                      "work": {"nodes": outcome.nodes}, "seconds": secs})
-    for layer, (kind, text, m, n_max) in (("search", RAMSEY), ("kernel", KERNEL_RAMSEY)):
+    for layer, (kind, text, m, n_max) in ([("search", ramsey) for ramsey in RAMSEYS]
+                                          + [("kernel", KERNEL_RAMSEY)]):
         p = Pattern.from_text(text)
         value, secs = _timed(lambda: search.exact_ramsey_length(CountKind[kind], p, m, n_max))
         # find_avoiding runs the same search and reports its nodes

@@ -18,11 +18,12 @@ consistency rule between blocks of equal pattern variables:
                      over two letters, pattern "aa" counts 2 vs 1).
 
 All four counts walk one kernel, `_walker`, which also answers whether an
-occurrence starts a word (the search asks it of the reversed prefix with the
-reversed pattern).  It skips only the block lengths that provably cannot
-match: a fresh variable followed by a copy of an earlier one takes its
-lengths from the set bits of that block's match set, the starts of its
-copies.  Every occurrence is still found one at a time.
+occurrence starts at a position (the search asks it of the reversed prefix
+with the reversed pattern).  It is bound to a buffer that a caller fills and
+empties one position at a time, and skips only the block lengths that
+provably cannot match: a fresh variable followed by a copy of an earlier one
+takes its lengths from the set bits of that block's match set, the starts of
+its copies.  Every occurrence is still found one at a time.
 
 Totals and exact means sum over every word of the requested shape; the budget
 is measured in words of that shape.  Only one word per symmetry orbit is
@@ -54,10 +55,12 @@ the total over all words is also the sum of the counts of their reverses, and
 the reverse of every word in the orbit of w has the count of the reverse of
 w.  So the weighted sum of the counts of the reversed words is the total,
 whether p reads the same reversed or not; the weight and the mirror test still
-read w itself.  The words come in product order, last position fastest, so
-their reverses change first position fastest and consecutive ones share their
-longest suffix, and the walker walks only the starts left of the suffix a
-word shares with the one before (see _walker).
+read w itself.  The words come from one depth-first traversal of their
+prefixes, the one the search makes: the kernel holds w reversed, w[i] at
+position n - 1 - i, so a node puts one letter and backing up takes it, and
+the walk from position n - d reads only the prefix w[:d].  The count of w is
+the sum of the walks of the nodes on its path, and each node is walked once,
+when the first word under it that is walked arrives (see _stripe_total).
 """
 
 from __future__ import annotations
@@ -66,8 +69,6 @@ import enum
 import os
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, combinations, islice, product
-from operator import sub
 from math import comb, perm
 
 from .errors import BudgetExceededError
@@ -75,11 +76,11 @@ from .words import HOLE, Pattern, PartialWord, Word
 
 DEFAULT_WORD_BUDGET = 5_000_000
 # total_count's words walked per worker, about the words of the shape over m!.
-# Consecutive words share the walks of their common suffix, and a worker's
-# stride shares shorter ones.  On 2 cores a second worker for aba paid from
-# between 1,024 and 2,048 of them (ABELIAN), 3,280 and 9,841
-# (PARTIAL_COLLAPSED) and 4,096 and 8,192 (FULL); a pool from 8,192 is the
-# first that pays for all three.
+# Every worker makes the whole traversal of the prefixes and walks only the
+# nodes above its own words.  On 2 cores a second worker for aba paid from
+# between 2,048 and 4,096 of them (ABELIAN), 3,280 and 9,841
+# (PARTIAL_COLLAPSED) and 8,192 and 16,384 (FULL); a pool from 8,192 pays for
+# ABELIAN and about breaks even for the other two.
 _WALKED_PER_WORKER = 4096
 
 
@@ -91,21 +92,6 @@ class CountKind(enum.Enum):
 
 
 PARTIAL_KINDS = (CountKind.PARTIAL_MORPHISM, CountKind.PARTIAL_COLLAPSED)
-
-
-def _conflicts(masks: list[int], length: int) -> list[int]:
-    """Per shift d, the bits i where positions i and i + d hold two different
-    letters, from the per-letter position masks of a word of that length."""
-    defined = 0
-    for x in masks:
-        defined |= x
-    out = [0]
-    for d in range(1, length):
-        same = 0
-        for x in masks:
-            same |= x & (x >> d)
-        out.append(defined & (defined >> d) & ~same)
-    return out
 
 
 def _plan(syms: tuple[int, ...], kind: CountKind) -> list[tuple | None]:
@@ -141,35 +127,30 @@ def _plan(syms: tuple[int, ...], kind: CountKind) -> list[tuple | None]:
     return steps
 
 
-def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
-    """The occurrence walk shared by the oracle and the search.
+def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
+    """The occurrence walk shared by the oracle and the search, bound to a
+    buffer of n positions.
 
-    Returns occurrences(chars, anchored=False), which answers one of two
-    questions on the word it is given.  Count mode: the number of occurrences
-    in chars, each PARTIAL_MORPHISM occurrence weighted by m per all-hole
-    coordinate.  Anchored mode: 1 if some occurrence starts at 0, else 0,
-    walked from start 0 alone and stopped at the first occurrence; the two
-    partial conventions agree there, every weight being at least 1.
+    Returns (put, take, occurrences).  The buffer fills from its right end:
+    put(c) places c left of the filled positions and take() empties the
+    leftmost filled one.  occurrences(pos, anchored=False) walks from a filled
+    start pos and reads only positions pos..n-1.  Count mode: the number of
+    occurrences that start at pos, each PARTIAL_MORPHISM occurrence weighted by
+    m per all-hole coordinate; the count of the filled word is the sum over its
+    starts.  Anchored mode: 1 if some occurrence starts at pos, else 0, stopped
+    at the first one; the two partial conventions agree there, every weight
+    being at least 1.  A traversal keeps a word w reversed in the buffer, w[i]
+    at position n - 1 - i, so it extends the prefix by one put and backs it up
+    by one take, and the walk from n - d reads only the prefix w[:d].
 
     What the pattern alone fixes is prepared once per walker: the step table
     of _plan, the walk and the weight, and the arrays of block starts, lengths
-    and match sets they fill in.  A call only binds the word's state (its
-    letter masks, prefix sums, conflict masks and the ABELIAN windows) and
-    adds up the walks from its starts.  So a walker answers one call at a
-    time; callers build one per count, per stripe of a total and per search.
-
-    Kept counts.  The walk from a start reads only the letters from that start
-    on: it depends on hi - pos, on the match-set bits and conflict bits at or
-    past pos, on the prefix-sum differences of windows right of pos and on
-    holes >> at[j].  So a word that ends in the same suffix as the last word
-    counted has the same walks from the starts in that suffix.  Count mode
-    keeps, per suffix length L, the total of the walks from the last L starts
-    of the last word counted, finds the suffix the new word shares with it by
-    comparing from the right, and walks only the starts left of it.  Anchored
-    calls bind their word's state but leave the kept counts alone.  Each
-    count is still the sum of walks that found its occurrences one at a time;
-    a walk is only not repeated for the next word that has the same letters
-    from its start on.
+    and match sets they fill in.  put and take update the word's state at one
+    position: the letter masks and the hole mask, the ABELIAN suffix sums and,
+    for a partial variable with a third block, the per-shift conflict masks.
+    ABELIAN groups the windows of a block length by histogram only when a walk
+    asks for that length, down to the leftmost filled start, and take drops
+    the start it empties from each group that holds it.
 
     Blocks are placed left to right, and a repeated variable's later blocks
     are checked without slicing.  FULL and the partial kinds keep a match set
@@ -179,38 +160,38 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
     hole (partial kinds; a hole in the block admits anything).  A later block
     is then one bit test: equality on full words, compatibility with the
     first block on partial words.  A partial variable's third and later
-    blocks are also checked against the blocks in between with per-shift
-    conflict masks, since compatibility with each earlier block is
+    blocks are also checked against the blocks in between with the conflict
+    masks (bit i of the mask for shift d: positions i and i + d hold two
+    different letters), since compatibility with each earlier block is
     compatibility with their overlay.  ABELIAN compares letter histograms
-    read off prefix sums packed in one int per position (base 2^bits > hi, so
-    no packed count carries).
+    read off suffix sums packed in one int per position (base 2^bits > n, so
+    no packed count carries): the window [a, b) is suf[a] - suf[b].
 
     Lengths.  A fresh variable's first block tries its lengths as the set bits
     of one int, lowest first.  When the block right after it is a copy of an
     earlier variable, the only admissible lengths are those that put a copy of
     that variable's block there: the int is its match set, shifted to the
-    block's start, and the copy is placed with the length.  ABELIAN groups the
-    starts of the windows of each block length by packed histogram, once per
-    length within the call.  For FULL and ABELIAN these are exactly the
-    lengths whose next block passes; for the partial kinds they pass the
-    first-block test, and the conflict masks still check the blocks in
-    between.  A fresh block followed by another fresh block or by its own copy
-    (aa, abba) tries every length.  The length equation bounds them all:
-    which variables are bound at each index is fixed by the pattern, so a
-    fresh variable occurring c times from here on gets a length of at most
-    (room - fixed - free) // c, where fixed is the total length of the later
-    blocks of bound variables and free the number of later blocks of
-    still-fresh ones.  A match set only loses bits as its block grows, so a
-    repeated variable's lengths stop once no copy can start right of its block
-    (an all-hole block keeps every bit).  Every occurrence is still found, and
-    counted or weighted, one at a time.  At the last fresh block, when nothing
-    is left to check after it and its match set is not kept (b in aba), each
-    length left to try is one occurrence: count mode counts them by clearing
-    the lowest bit once per occurrence, and anchored mode asks whether any is
-    left.  PARTIAL_MORPHISM count mode still places each one to weigh it.
+    block's start, and the copy is placed with the length.  ABELIAN takes the
+    int from the starts of the windows of the copy's length that have its
+    histogram.  For FULL and ABELIAN these are exactly the lengths whose next
+    block passes; for the partial kinds they pass the first-block test, and
+    the conflict masks still check the blocks in between.  A fresh block
+    followed by another fresh block or by its own copy (aa, abba) tries every
+    length.  The length equation bounds them all: which variables are bound
+    at each index is fixed by the pattern, so a fresh variable occurring c
+    times from here on gets a length of at most (room - fixed - free) // c,
+    where fixed is the total length of the later blocks of bound variables and
+    free the number of later blocks of still-fresh ones.  A match set only
+    loses bits as its block grows, so a repeated variable's lengths stop once
+    no copy can start right of its block (an all-hole block keeps every bit).
+    Every occurrence is still found, and counted or weighted, one at a time.
+    At the last fresh block, when nothing is left to check after it and its
+    match set is not kept (b in aba), each length left to try is one
+    occurrence: count mode counts them by clearing the lowest bit once per
+    occurrence, and anchored mode asks whether any is left.  PARTIAL_MORPHISM
+    count mode still places each one to weigh it.
     """
     k = len(syms)
-    partial_kind = kind in PARTIAL_KINDS
     abelian = kind is CountKind.ABELIAN
     steps = _plan(syms, kind)
     checked = any(others for step in steps if step for _, _, others in step[5])
@@ -219,12 +200,16 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
     at = [0] * k     # start of each placed block
     size = [0] * k   # the length of each placed first block
     match = [0] * k  # per first block: the starts of its copies
-    # the word's state, bound by each call
-    word = masks = conf = pref = windows = None
-    hi = holes = 0
+    # the word's state at the filled positions lo..n-1
+    word = [HOLE] * n
+    masks = [0] * m + [-1]  # per letter, its positions and the holes; a hole admits any
+    conf = [0] * n          # per shift: the positions that clash with the one that far right
+    suf = [0] * (n + 1)     # ABELIAN: the packed histogram of the positions from each on
+    unit = [(1 << n.bit_length()) ** c for c in range(m)]
+    windows = {}  # ABELIAN, per block length: [starts by histogram, the leftmost grouped]
+    lo, holes = n, 0
+    weighs = bool(groups)  # count mode weighs each occurrence
     stop = weighted = False
-    # kept[L]: the occurrences from the last L starts of the last word counted
-    kept, counted = [0] * k, ()
 
     def weight() -> int:
         w = 1
@@ -239,7 +224,7 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
         """Occurrences whose block idx, a fresh variable's first, starts at pos."""
         c, free, after, grow, placed, bound, nxt, last = steps[idx]
         at[idx] = pos
-        top = (hi - pos - fixed - free) // c
+        top = (n - pos - fixed - free) // c
         if top < 1:
             return 0
         if after < 0:
@@ -247,13 +232,17 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
         else:  # the next block copies block `after`: start it at one of its copies
             copy = size[after]
             if abelian:
-                table = windows.get(copy)
-                if table is None:
-                    table = windows[copy] = {}
-                    for q, h in enumerate(map(sub, pref[copy:], pref)):
+                group = windows.get(copy)
+                if group is None:
+                    group = windows[copy] = [{}, n - copy + 1]
+                table, low = group
+                if low > lo:  # group the windows that start left of those grouped
+                    for q in range(low - 1, lo - 1, -1):
+                        h = suf[q] - suf[q + copy]
                         table[h] = table.get(h, 0) | 1 << q
+                    group[1] = lo
                 s = at[after]
-                x = table[pref[s + copy] - pref[s]]
+                x = table[suf[s] - suf[s + copy]]
             else:
                 x = match[after]
             x = (x >> (pos + 1)) & ((1 << top) - 1)
@@ -287,7 +276,7 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
                 step = size[first]
                 if abelian:
                     s = at[first]
-                    if pref[p + step] - pref[p] != pref[s + step] - pref[s]:
+                    if suf[p] - suf[p + step] != suf[s] - suf[s + step]:
                         break
                 else:
                     if not match[first] >> p & 1:
@@ -307,63 +296,96 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...]):
                 total += found
         return total
 
-    def occurrences(chars, anchored: bool = False) -> int:
-        nonlocal word, hi, masks, holes, conf, pref, windows, stop, weighted, counted
-        word, hi, stop = chars, len(chars), anchored
-        weighted = bool(groups) and not anchored
-        if abelian:
-            unit = [(1 << hi.bit_length()) ** c for c in range(m)]
-            pref = list(accumulate((unit[c] for c in chars), initial=0))
-            windows = {}
-        else:
-            masks = [0] * (m + 1)  # the last one collects the holes
-            for i, c in enumerate(chars):
-                masks[c] |= 1 << i
-            holes = masks[-1]
-            if checked:
-                conf = _conflicts(masks[:m], hi)
-            if partial_kind:
-                masks = [x | holes for x in masks[:m]] + [-1]
-        if anchored:
-            return walk(0, 0, 0)
-        same = 0  # the length of the suffix chars shares with the word counted last
-        for a, b in zip(reversed(chars), reversed(counted)):
-            if a != b:
-                break
-            same += 1
-        del kept[max(same + 1, k):]
-        for lo in range(hi - len(kept), -1, -1):
-            kept.append(kept[-1] + walk(0, lo, 0))
-        counted = tuple(chars)
-        return kept[hi]
+    def occurrences(pos: int, anchored: bool = False) -> int:
+        nonlocal stop, weighted
+        stop = anchored
+        weighted = weighs and not anchored
+        return walk(0, pos, 0)
 
-    return occurrences
+    if abelian:
+        def put(c: int) -> None:
+            nonlocal lo
+            lo -= 1
+            suf[lo] = suf[lo + 1] + unit[c]
+
+        def take() -> None:
+            nonlocal lo
+            q = lo
+            lo += 1
+            for copy, group in windows.items():
+                if group[1] == q and q + copy <= n:
+                    group[0][suf[q] - suf[q + copy]] ^= 1 << q
+                    group[1] = lo
+        return put, take, occurrences
+
+    def clashes(q: int, c: int, bit: int) -> None:
+        """Flip bit q of the conflict masks of the shifts d where q + d holds
+        a letter other than c."""
+        for d in range(1, n - q):
+            e = word[q + d]
+            if e != c and e != HOLE:
+                conf[d] ^= bit
+
+    def put(c: int) -> None:
+        nonlocal lo, holes
+        lo -= 1
+        word[lo] = c
+        bit = 1 << lo
+        if c == HOLE:
+            holes |= bit
+            for x in range(m):
+                masks[x] |= bit
+        else:
+            masks[c] |= bit
+            if checked:
+                clashes(lo, c, bit)
+
+    def take() -> None:
+        nonlocal lo, holes
+        q = lo
+        lo += 1
+        c, bit = word[q], 1 << q
+        if c == HOLE:
+            holes ^= bit
+            for x in range(m):
+                masks[x] ^= bit
+        else:
+            masks[c] ^= bit
+            if checked:
+                clashes(q, c, bit)
+    return put, take, occurrences
 
 
 def count_full(w: Word, p: Pattern) -> int:
     """Occurrences of p in w: (position, composition) pairs with equal blocks forced."""
-    return _walker(CountKind.FULL, w.m, p.symbols)(w.letters)
+    return count(CountKind.FULL, w, p)
 
 
 def count_abelian(w: Word, p: Pattern) -> int:
     """Occurrences of p in the abelian sense: equal variables force anagram blocks."""
-    return _walker(CountKind.ABELIAN, w.m, p.symbols)(w.letters)
+    return count(CountKind.ABELIAN, w, p)
 
 
-def count_partial(w: PartialWord, p: Pattern, kind: CountKind) -> int:
-    """Occurrences of p in a partial word under either partial convention."""
+def count_partial(w: Word | PartialWord, p: Pattern, kind: CountKind) -> int:
+    """Occurrences of p in a partial or full word under either partial convention."""
     if kind not in PARTIAL_KINDS:
         raise ValueError(f"count_partial expects a partial kind, got {kind}")
-    return _walker(kind, w.m, p.symbols)(w.chars)
+    return count(kind, w, p)
 
 
 def count(kind: CountKind, w: Word | PartialWord, p: Pattern) -> int:
-    """Kind-dispatching counter; full kinds take a Word, partial kinds either word."""
+    """Kind-dispatching counter; full kinds take a Word, partial kinds either
+    word.  Every position is put, and the walks from every start summed."""
     if isinstance(w, PartialWord):
         if kind not in PARTIAL_KINDS:
             raise ValueError(f"{kind.name} counting expects a full word")
-        return _walker(kind, w.m, p.symbols)(w.chars)
-    return _walker(kind, w.m, p.symbols)(w.letters)
+        chars = w.chars
+    else:
+        chars = w.letters
+    put, _, occurrences = _walker(kind, w.m, p.symbols, len(chars))
+    for c in reversed(chars):
+        put(c)
+    return sum(map(occurrences, range(len(chars))))
 
 
 def _check_shape(kind: CountKind, n: int, m: int, holes: int | None) -> None:
@@ -394,59 +416,90 @@ def _mirror_order(chars) -> int:
     equal to or greater than chars, compared letter by letter up to the first
     difference."""
     names = {HOLE: HOLE}
-    for c, d in zip(reversed(chars), chars):
-        r = names.setdefault(c, len(names) - 1)
+    i = len(chars)
+    for d in chars:
+        i -= 1
+        r = names.setdefault(chars[i], len(names) - 1)
         if r != d:
             return -1 if r < d else 1
     return 0
 
 
-def _first_occurrence_words(kind: CountKind, n: int, m: int, holes: int | None):
-    """The words of the shape in first-occurrence form: per number j of distinct
-    letters, per choice of the positions where 0, ..., j - 1 first appear and
-    per placement of the holes still needed, the product of the per-position
-    alphabets.  Before the first letter only holes fit; after the first
-    occurrence of c, the letters 0, ..., c and, with no hole count, the hole."""
-    partial = kind in PARTIAL_KINDS
-    extra = (HOLE,) if partial and holes is None else ()
-    for j in range(0 if partial else 1, min(m, n) + 1):
-        for firsts in combinations(range(n), j):
-            lead = firsts[0] if firsts else n
-            if lead and not partial:
-                continue
-            cols = [(HOLE,)] * lead
-            for c, (q, nxt) in enumerate(zip(firsts, firsts[1:] + (n,))):
-                cols += [(c,)] + [tuple(range(c + 1)) + extra] * (nxt - q - 1)
-            if holes is None:
-                placements = [()]
-            else:
-                free = [q for q in range(lead, n) if q not in firsts]
-                need = holes - lead
-                placements = combinations(free, need) if need >= 0 else ()
-            for placed in placements:
-                yield from product(*[(HOLE,) if q in placed else col
-                                     for q, col in enumerate(cols)])
+def _candidates(m: int, top: int, due: int | None, left: int, partial_kind: bool) -> list[int]:
+    """The characters that may come next in first-occurrence form, the least
+    last, as the traversals take them from the end: the letters up to one past
+    top, the largest so far (HOLE before the first), and on partial words the
+    hole, unless due, the holes left to place (None for any number), is 0 or
+    the number of positions left, which then all take the hole."""
+    if partial_kind and due == left:
+        return [HOLE]
+    untried = list(range(min(top + 1, m - 1), -1, -1))
+    if partial_kind and due != 0:
+        untried.insert(0, HOLE)
+    return untried
 
 
 def _stripe_total(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
                   holes: int | None, stride: int, offset: int) -> int:
     """The weighted total over every stride-th word, from the offset-th on, of
-    the words in first-occurrence form, each walked reversed (see the module
-    docstring)."""
-    occurrences = _walker(kind, m, syms)
+    the words in first-occurrence form in the order of one depth-first
+    traversal of their prefixes, each walked reversed (see the module
+    docstring).  A loop over a stack of the untried candidates per depth puts
+    a prefix's last letter in the kernel when it opens the prefix and takes it
+    when it backs up.  The walk from position n - d, a node at depth d, is
+    made once, when the first word of the stripe under that node arrives, and
+    the count of a word is the sum of the walks along its path."""
+    put, take, occurrences = _walker(kind, m, syms, n)
+    partial_kind = kind in PARTIAL_KINDS
     weights = [perm(m, j) for j in range(min(m, n) + 1)]  # by distinct letters
     mirror = not _mirror_order(syms)  # syms is in first-occurrence form
+    chars = [HOLE] * n  # chars[:depth] is in the kernel
+    # per depth d: the untried candidates for chars[d], the largest letter of
+    # chars[:d] and the holes left to place after it
+    stack: list[list[int]] = [[]] * n
+    tops, dues = [HOLE] * n, [holes] * n
+    sums = [0] * n  # sums[d]: the walks of the nodes at depths 1..d
+    walked = 0  # sums[:walked + 1] hold for chars
+    skip = offset  # words left to pass before the next one of the stripe
     total = 0
-    for chars in islice(_first_occurrence_words(kind, n, m, holes), offset, None, stride):
-        weight = weights[max(chars) + 1]  # HOLE is -1
-        if mirror:
-            order = _mirror_order(chars)
-            if order < 0:
-                continue
-            if order:
-                weight *= 2
-        total += weight * occurrences(chars[::-1])
-    return total
+    depth, top, due = 0, HOLE, holes
+    while True:
+        if depth < n - 1:  # open chars[:depth]
+            stack[depth] = _candidates(m, top, due, n - depth, partial_kind)
+            tops[depth], dues[depth] = top, due
+        else:  # add the words of the stripe that extend chars[:n - 1]
+            for c in reversed(_candidates(m, top, due, 1, partial_kind)):
+                if skip:
+                    skip -= 1
+                    continue
+                skip = stride - 1
+                chars[-1] = c
+                order = _mirror_order(chars) if mirror else 0
+                if order >= 0:
+                    put(c)
+                    for d in range(walked + 1, n):
+                        sums[d] = sums[d - 1] + occurrences(n - d)
+                    walked = n - 1
+                    weight = weights[(top if top > c else c) + 1]  # HOLE is -1
+                    total += (2 * weight if order else weight) * (sums[-1] + occurrences(0))
+                    take()
+            stack[depth] = []
+        while not stack[depth]:  # every candidate here is spent: back up
+            if not depth:
+                return total
+            depth -= 1
+            take()
+        c = stack[depth].pop()
+        chars[depth] = c
+        put(c)
+        top, due = tops[depth], dues[depth]
+        if c > top:
+            top = c
+        elif c == HOLE and due is not None:
+            due -= 1
+        depth += 1
+        if walked >= depth:
+            walked = depth - 1
 
 
 def total_count(kind: CountKind, n: int, m: int, p: Pattern,
@@ -459,13 +512,16 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
     (m+1)^n partial words, or over the C(n,holes)*m^(n-holes) words with the
     exact hole count when holes is given.  Only the words in first-occurrence
     form are walked, each with the weight of its orbit (see the module
-    docstring), as one sequence: worker i of W sums every W-th word of it from
-    the i-th on.  W is the requested workers, capped by the CPU count and by
-    one worker per _WALKED_PER_WORKER words walked, estimated as the words
-    of the shape over m!; one worker sums in-process.
+    docstring), in the order of one traversal of their prefixes: worker i of W
+    makes the whole traversal and sums every W-th word of it from the i-th
+    on.  W is the requested workers, which must be at least 1, capped by the
+    CPU count and by one worker per _WALKED_PER_WORKER words walked,
+    estimated as the words of the shape over m!; one worker sums in-process.
     Aggregation is an integer sum, so the split cannot change the result.
     """
     _check_shape(kind, n, m, holes)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     pop = population_size(kind, n, m, holes)
     if pop > budget:
         raise BudgetExceededError(

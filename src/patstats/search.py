@@ -6,8 +6,12 @@ of the pattern.  Every shorter prefix was already checked, so only the
 occurrences that end at the last position are looked for: reversed, with
 blocks still equal, anagrams or compatible, they are the occurrences of the
 reversed pattern that start the reversed prefix, which the oracle's kernel
-for the reversed pattern, built once per search, finds in anchored mode.
-Found witnesses are re-verified against the oracle's count before return.
+for the reversed pattern, built once per search, finds in anchored mode.  The
+kernel holds the reversed prefix and follows the search one character at a
+time: a node puts its character and backing up takes it, so no node rebuilds
+the state of the whole prefix.  The candidates at each depth come from the
+oracle's rule, the one its totals traverse by.  Found witnesses are
+re-verified against the oracle's count before return.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .oracle import CountKind, PARTIAL_KINDS, _check_shape, _walker, count
+from .oracle import CountKind, PARTIAL_KINDS, _candidates, _check_shape, _walker, count
 from .words import HOLE, Pattern, PartialWord, Word
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -44,12 +48,14 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
     nodes counts the characters tried and deepest is the length of the longest
     avoiding prefix reached.  Raises BudgetExceededError at the node past the
     budget.  One loop over a stack of the untried candidates per depth, read
-    off the prefix, so nothing but the node budget limits the length.
+    off the prefix, so nothing but the node budget limits the length.  The
+    kernel holds the prefix reversed at the right end of a buffer of `length`
+    positions: each node puts its character and backing up takes it.
     """
     _check_shape(kind, length, m, holes)
     if budget < 1:
         raise ValueError("budget must allow at least one node")
-    occurrences = _walker(kind, m, syms[::-1])
+    put, take, occurrences = _walker(kind, m, syms[::-1], length)
     partial = kind in PARTIAL_KINDS
     chars: list[int] = []
     stack: list[list[int]] = []
@@ -59,28 +65,27 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
             deepest = max(deepest, len(chars))
             if len(chars) == length:
                 return SearchStatus.FOUND, chars, nodes, deepest
-            # the letters of first-occurrence form (see find_avoiding), least
-            # last since candidates are taken from the end; HOLE is -1
-            untried = list(range(min(max(chars, default=HOLE) + 1, m - 1), -1, -1))
+            # first-occurrence form (see find_avoiding); HOLE is -1
             due = None if holes is None else holes - chars.count(HOLE)  # holes to place
-            if partial and (due is None or 0 < due < length - len(chars)):
-                untried.insert(0, HOLE)
-            elif partial and due:  # every position left must take a hole
-                untried = [HOLE]
-            stack.append(untried)
+            stack.append(_candidates(m, max(chars, default=HOLE), due, length - len(chars),
+                                     partial))
         if not stack[-1]:  # every candidate here is spent: back up
             stack.pop()
             if not chars:
                 return SearchStatus.EXHAUSTED, chars, nodes, deepest
             chars.pop()
+            take()
             continue
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"search exceeded {budget} nodes",
                                       needed=nodes, budget=budget)
-        chars.append(stack[-1].pop())
-        if occurrences(chars[::-1], True):
+        c = stack[-1].pop()
+        chars.append(c)
+        put(c)
+        if occurrences(length - len(chars), True):
             chars.pop()
+            take()
 
 
 def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,

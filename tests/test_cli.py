@@ -190,6 +190,14 @@ def test_threads_flag_matches_sequential(capsys, monkeypatch):
     assert lone["result"] == multi["result"]
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_an_input_error(capsys, threads):
+    code, out, err = run(capsys, "--threads", threads, "oracle", "total",
+                         "--kind", "full", "-p", "aa", "-m", "2", "-n", "3")
+    assert (code, out) == (1, "")
+    assert "workers" in err
+
+
 def test_csv_format(capsys):
     code, out, err = run(capsys, "--format", "csv", "oracle", "count",
                          "--kind", "full", "-w", "11111111", "-p", "aba", "-m", "2")

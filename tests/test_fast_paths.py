@@ -17,14 +17,15 @@ of products of truncated series; the product form, with each geometric factor
 written out term by term as the genfunc docstring derives it, is the reference.
 The oracle's three walkers and the search's segment matcher became one
 occurrence kernel with slice-free block checks and the length equation; the
-replaced walkers are the reference, and a walker reused from word to word,
-which keeps its counts per suffix, answers as a fresh walker per word does.
+replaced walkers are the reference, and a kernel that puts and takes one
+position at a time answers as a fresh kernel with the same positions put does.
 Totals walk one word per orbit of the letter permutations and, for patterns
 that read the same reversed, reversal; the reference sums every word, and the
 reversed word's first-occurrence form, built whole, is the reference for the
-letter-by-letter test that picks one word of each reversed pair.  The search tries only words in
-first-occurrence form; a search that tries every letter is the reference, and
-the search outcomes the replaced walkers produced are pinned.
+letter-by-letter test that picks one word of each reversed pair.  The search
+tries only words in first-occurrence form; a search that tries every letter is
+the reference, and the search outcomes the replaced walkers produced are
+pinned.
 """
 
 import concurrent.futures
@@ -555,6 +556,25 @@ def _reference_closes(chars, end, syms, m, kind):
                for lo in range(end - len(syms) + 2))
 
 
+def _filled(kind, m, syms, chars):
+    """The walk of a fresh kernel with every position of chars put."""
+    put, _, occurrences = _walker(kind, m, syms, len(chars))
+    for c in reversed(chars):
+        put(c)
+    return occurrences
+
+
+def _kernel_count(kind, m, syms, chars):
+    occurrences = _filled(kind, m, syms, chars)
+    return sum(occurrences(pos) for pos in range(len(chars)))
+
+
+def _kernel_closes(kind, m, syms, chars):
+    """Whether the last position of chars closes an occurrence, as the search
+    asks it: the reversed pattern anchored at the start of the reversed word."""
+    return _filled(kind, m, syms[::-1], chars[::-1])(0, True)
+
+
 # aaa reaches a third block (the partial kinds check it against the second
 # too), in abcba the copy after c reaches back past b to a, and in aaba the
 # copy after b, which its first block places, is a third block
@@ -570,13 +590,12 @@ def test_kernel_matches_replaced_walkers_on_short_words(kind, text):
     # Over four characters (m = 3 with holes) the words stop at length 6.
     syms = Pattern.from_text(text).symbols
     for m in (1, 2, 3):
-        occurrences = _walker(kind, m, syms)
-        reversed_occurrences = _walker(kind, m, syms[::-1])
         alphabet = list(range(m)) + ([HOLE] if kind in PARTIAL_KINDS else [])
         for n in range(1, 8 if len(alphabet) < 4 else 7):
             for chars in product(alphabet, repeat=n):
-                assert occurrences(chars) == _reference_count(kind, chars, m, syms), chars
-                assert reversed_occurrences(chars[::-1], True) == \
+                assert _kernel_count(kind, m, syms, chars) == \
+                    _reference_count(kind, chars, m, syms), chars
+                assert _kernel_closes(kind, m, syms, chars) == \
                     _reference_closes(chars, n - 1, syms, m, kind), chars
 
 
@@ -590,7 +609,7 @@ def test_kernel_matches_replaced_walkers_on_long_words(kind, length, text):
     syms = Pattern.from_text(text).symbols
     rng = random.Random(f"{kind.value} {text}")
     chars = tuple(rng.randrange(2) for _ in range(length))
-    assert _walker(kind, 2, syms)(chars) == _reference_count(kind, chars, 2, syms)
+    assert _kernel_count(kind, 2, syms, chars) == _reference_count(kind, chars, 2, syms)
 
 
 @pytest.mark.parametrize("kind, length, text", [(CountKind.FULL, 100, "abab"),
@@ -599,72 +618,70 @@ def test_kernel_matches_replaced_walkers_on_long_words(kind, length, text):
                          ids=["full-100-abab", "abelian-70-aba", "partial-collapsed-40-aba"])
 def test_closes_occurrence_matches_replaced_matcher_at_every_end(kind, length, text):
     # the search asks anchored mode on the reversed prefix with the reversed
-    # pattern; the partial word, over two letters and the hole, is longer than
-    # the grid's
+    # pattern, putting one character per position; the partial word, over two
+    # letters and the hole, is longer than the grid's
     syms = Pattern.from_text(text).symbols
     rng = random.Random(f"{kind.value} {text}")
     alphabet = [0, 1, HOLE] if kind in PARTIAL_KINDS else [0, 1]
     chars = [rng.choice(alphabet) for _ in range(length)]
+    put, _, occurrences = _walker(kind, 2, syms[::-1], length)
     for end in range(length):
-        assert _walker(kind, 2, syms[::-1])(chars[end::-1], True) == \
+        put(chars[end])
+        assert occurrences(length - end - 1, True) == \
             _reference_closes(chars, end, syms, 2, kind), end
 
 
-def _front_edits(rng, alphabet, length):
-    """Words that each add a letter at the front of the last one, drop its
-    first letter or change one of its middle letters."""
-    chars = [rng.choice(alphabet) for _ in range(length)]
-    for _ in range(60):
-        edit = rng.randrange(3) if len(chars) > 2 else 0
-        if edit == 0:
-            chars.insert(0, rng.choice(alphabet))
-        elif edit == 1:
-            del chars[0]
+def _fills_and_takes(rng, alphabet, n):
+    """Runs of puts and takes at the low end of a kernel of n positions: the
+    filled characters, left to right, after each step."""
+    filled = []
+    for _ in range(40):
+        if not filled or len(filled) < n and rng.random() < 0.55:
+            for _ in range(rng.randint(1, n - len(filled))):
+                filled.insert(0, rng.choice(alphabet))
+                yield "put", filled
         else:
-            chars[rng.randrange(1, len(chars) - 1)] = rng.choice(alphabet)
-        yield tuple(chars)
-
-
-def _suffixes_and_lengths(rng, alphabet):
-    """Suffixes of one word, longer and shorter by turns, then words of
-    changing lengths that end in its last four letters."""
-    base = tuple(rng.choice(alphabet) for _ in range(16))
-    for length in (16, 3, 11, 0, 7, 16, 1, 9, 14, 5, 15, 2):
-        yield base[16 - length:]
-    for length in (4, 13, 6, 20, 1, 10, 18, 8):
-        yield tuple(rng.choice(alphabet) for _ in range(length)) + base[12:]
+            for _ in range(rng.randint(1, len(filled))):
+                del filled[0]
+                yield "take", filled
 
 
 @pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("text", KERNEL_PATTERNS)
 def test_one_walker_answers_a_sequence_of_words_as_fresh_walkers_do(kind, text):
-    # a walker keeps its block arrays and rebinds the word's state per call,
-    # so random words put a longer word before each shorter one (stale masks,
-    # prefix sums, conflict masks or windows would show).  In count mode it
-    # also keeps one count per suffix length of the word it counted last and
-    # walks only the starts left of the suffix the next word shares with it:
-    # the first-occurrence words reversed, as a total walks them, share long
-    # suffixes, and edits at the front and in the middle and changes of
-    # length move the shared suffix both ways.  Every other count is followed
-    # by an anchored call on the next word, which must leave the kept counts
-    # of the word before alone
+    # one kernel follows random runs of puts and takes at its low end, as the
+    # traversals move it; after each step the count from every filled start
+    # and the anchored answer at every filled start are those of a fresh
+    # kernel with the same characters put, so stale letter masks, suffix sums,
+    # conflict masks or grouped ABELIAN windows would show.  Every start is
+    # walked at each step, so windows are grouped at many low ends before a
+    # take passes them
     syms = Pattern.from_text(text).symbols
+    n = 12
     for m in (1, 2, 3):
         rng = random.Random(f"{kind.value} {text} {m}")
         alphabet = list(range(m)) + ([HOLE] if kind in PARTIAL_KINDS else [])
-        randoms = [tuple(rng.choice(alphabet) for _ in range(length))
-                   for length in [23, 5, 17, 2, 1, 30, 9, 12, 3, 8]]
-        reversed_words = [chars[::-1] for n in range(1, 8)
-                          for chars in oracle._first_occurrence_words(kind, n, m, None)]
-        for words in (randoms, reversed_words, list(_front_edits(rng, alphabet, 9)),
-                      list(_suffixes_and_lengths(rng, alphabet))):
-            occurrences = _walker(kind, m, syms)
-            for i, chars in enumerate(words):
-                assert occurrences(chars) == _walker(kind, m, syms)(chars), (m, chars)
-                if i % 2 and i + 1 < len(words):
-                    probe = words[i + 1]
-                    assert occurrences(probe, True) == _walker(kind, m, syms)(probe, True), \
-                        (m, probe)
+        put, take, occurrences = _walker(kind, m, syms, n)
+        for step, filled in _fills_and_takes(rng, alphabet, n):
+            if step == "put":
+                put(filled[0])
+            else:
+                take()
+            fresh = _filled(kind, m, syms, filled)
+            lo = n - len(filled)
+            for pos in range(len(filled)):
+                assert occurrences(lo + pos) == fresh(pos), (m, filled, pos)
+                assert occurrences(lo + pos, True) == fresh(pos, True), (m, filled, pos)
+
+
+def _first_occurrence_form(chars):
+    """Whether letter c appears in chars only after 0, ..., c - 1 have."""
+    top = HOLE
+    for c in chars:
+        if c > top + 1:
+            return False
+        top = max(top, c)
+    return True
 
 
 def _mirror_order_by_form(chars):
@@ -679,8 +696,8 @@ def _mirror_order_by_form(chars):
 def test_mirror_order_matches_reversed_first_occurrence_form(kind, n, m):
     # the letter-by-letter comparison stops at the first difference; the
     # reference builds the whole first-occurrence form of the reversed word
-    for holes in [None] + (list(range(n + 1)) if kind in PARTIAL_KINDS else []):
-        for chars in oracle._first_occurrence_words(kind, n, m, holes):
+    for chars in all_words(n, m, kind in PARTIAL_KINDS):
+        if _first_occurrence_form(chars):
             assert oracle._mirror_order(chars) == _mirror_order_by_form(chars), chars
 
 
@@ -806,13 +823,12 @@ def test_search_matches_a_search_over_every_letter(kind, text):
     p = Pattern.from_text(text)
     partial = kind in PARTIAL_KINDS
     for m in range(1, 5):
-        reversed_occurrences = _walker(kind, m, p.symbols[::-1])
         for n in range(1, 11):
             for holes in (None, 1, 2) if partial else (None,):
                 if holes is not None and holes > n:
                     continue
                 least = least_avoiding(n, m, partial, holes,
-                                       lambda chars: reversed_occurrences(chars[::-1], True))
+                                       lambda chars: _kernel_closes(kind, m, p.symbols, chars))
                 outcome = find_avoiding(kind, p, m, n, holes=holes)
                 if least is None:
                     assert outcome.status is SearchStatus.EXHAUSTED, (m, n, holes)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import patstats
 from patstats.errors import BudgetExceededError
-from patstats.oracle import (CountKind, count_abelian, count_full, count_partial,
+from patstats.oracle import (CountKind, count, count_abelian, count_full, count_partial,
                              mean_exact, population_size, total_count)
 from patstats.words import HOLE, Pattern, PartialWord, Word
 from references import completions
@@ -62,6 +62,14 @@ def test_count_partial_rejects_full_kind():
         count_partial(PW(".."), P("aa"), FULL)
 
 
+@pytest.mark.parametrize("kind", [MORPH, COLLAPSED], ids=lambda k: k.value)
+def test_count_partial_takes_a_full_word(kind):
+    # a full word is a partial word without holes, as count already reads it
+    w = Word((0, 1, 0), 2)
+    assert count_partial(w, P("aba"), kind) == count(kind, w, P("aba")) == 1
+    assert count_partial(w, P("aa"), kind) == 0
+
+
 # --- totals and means -------------------------------------------------------
 
 def test_total_full_aa():
@@ -79,6 +87,20 @@ def test_total_abelian_aa():
 def test_total_rejects_holes_for_full_kinds():
     with pytest.raises(ValueError):
         total_count(FULL, 2, 2, P("aa"), holes=1)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_total_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers"):
+        total_count(FULL, 3, 2, P("aa"), workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        mean_exact(FULL, 3, 2, P("aa"), workers=workers)
+
+
+def test_total_walks_a_word_past_the_recursion_limit():
+    # one word of 1,200 letters: the traversal of its prefixes is a loop, and
+    # aa starts floor(r / 2) occurrences r letters from the end
+    assert total_count(FULL, 1200, 1, P("aa")) == 360_000
 
 
 def test_total_budget_error():

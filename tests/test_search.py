@@ -189,6 +189,18 @@ from patstats.oracle import _walker  # noqa: E402
 CHECK_PATTERNS = [P(t) for t in ("a", "aa", "ab", "aba", "aab", "abab", "abba")]
 
 
+def _closing_ends(kind, m, p, chars):
+    """Whether each position of chars closes an occurrence of p, asked as the
+    search asks it: the prefix put one character at a time, reversed, into a
+    kernel for the reversed pattern, and an anchored walk from its first
+    character."""
+    n = len(chars)
+    put, _, occurrences = _walker(kind, m, p.symbols[::-1], n)
+    for end, c in enumerate(chars):
+        put(c)
+        yield occurrences(n - end - 1, True)
+
+
 @st.composite
 def char_lists(draw, with_holes):
     m = draw(st.integers(1, 3))
@@ -205,8 +217,7 @@ def test_pruning_checker_agrees_with_oracle_on_full_words(case, p, kind):
     # negative here would make EXHAUSTED outcomes unsound
     chars, m = case
     w = Word(tuple(chars), m)
-    closed = any(_walker(kind, m, p.symbols[::-1])(chars[end::-1], True)
-                 for end in range(len(chars)))
+    closed = any(_closing_ends(kind, m, p, chars))
     assert closed == (count(kind, w, p) >= 1)
 
 
@@ -216,8 +227,7 @@ def test_pruning_checker_agrees_with_oracle_on_full_words(case, p, kind):
 def test_pruning_checker_agrees_with_oracle_on_partial_words(case, p, kind):
     chars, m = case
     w = PartialWord(tuple(chars), m)
-    closed = any(_walker(kind, m, p.symbols[::-1])(chars[end::-1], True)
-                 for end in range(len(chars)))
+    closed = any(_closing_ends(kind, m, p, chars))
     assert closed == (count(kind, w, p) >= 1)
 
 
@@ -235,12 +245,12 @@ def test_search_builds_the_kernel_once(monkeypatch):
 
     def counted_walker(*args):
         builds.append(args)
-        occurrences = _walker(*args)
+        put, take, occurrences = _walker(*args)
 
         def counted(*call):
             calls.append(call)
             return occurrences(*call)
-        return counted
+        return put, take, counted
 
     monkeypatch.setattr(search, "_walker", counted_walker)
     outcome = find_avoiding(FULL, P("abab"), 3, 40)
