@@ -57,16 +57,19 @@ SERIES = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 300), ("ABELIAN", "a
 # kind, pattern, m, n_max; the ABELIAN scan stops at n = 10
 THRESHOLDS = [("FULL", "abab", 3, 2000), ("ABELIAN", "abab", 4, 2000)]
 PRINTED = (7, 3)  # double_uparrow(x, y) printed in full: 695,975 digits
-# (kind, pattern, n, m, holes): the oracle totals of the ROADMAP baseline table,
-# three at m = 3 and 4, where the letter permutations leave fewer words to walk,
-# three of the benchmark's small partial totals, where the per-word set-up weighs
-# most, and one for a pattern that does not read the same reversed, so every word
-# in first-occurrence form is walked
-TOTALS = [("FULL", "aba", 16, 2, None), ("ABELIAN", "aba", 14, 2, None),
-          ("PARTIAL_COLLAPSED", "aba", 10, 2, None), ("FULL", "aba", 11, 3, None),
-          ("FULL", "abab", 9, 4, None), ("PARTIAL_COLLAPSED", "abba", 7, 4, None),
-          ("PARTIAL_COLLAPSED", "aba", 7, 2, None), ("PARTIAL_MORPHISM", "abba", 7, 2, None),
-          ("PARTIAL_COLLAPSED", "abba", 8, 2, 3), ("FULL", "aab", 12, 2, None)]
+# (kind, pattern, n, m, holes, workers): the oracle totals of the ROADMAP baseline
+# table, three at m = 3 and 4, where the letter permutations leave fewer words to
+# walk, three of the benchmark's small partial totals, where the per-word set-up
+# weighs most, and one for a pattern that does not read the same reversed, so every
+# word in first-occurrence form is walked; then the first three again in a pool of
+# two worker processes
+TOTALS = [("FULL", "aba", 16, 2, None, 1), ("ABELIAN", "aba", 14, 2, None, 1),
+          ("PARTIAL_COLLAPSED", "aba", 10, 2, None, 1), ("FULL", "aba", 11, 3, None, 1),
+          ("FULL", "abab", 9, 4, None, 1), ("PARTIAL_COLLAPSED", "abba", 7, 4, None, 1),
+          ("PARTIAL_COLLAPSED", "aba", 7, 2, None, 1),
+          ("PARTIAL_MORPHISM", "abba", 7, 2, None, 1), ("PARTIAL_COLLAPSED", "abba", 8, 2, 3, 1),
+          ("FULL", "aab", 12, 2, None, 1), ("FULL", "aba", 16, 2, None, 2),
+          ("ABELIAN", "aba", 14, 2, None, 2), ("PARTIAL_COLLAPSED", "aba", 10, 2, None, 2)]
 # the ROADMAP baseline searches, (kind, pattern, m, length, holes) and (kind,
 # pattern, m, n_max); the second of each builds long prefixes
 FINDS = [("FULL", "abab", 3, 40, None), ("FULL", "abab", 3, 300, None)]
@@ -160,11 +163,13 @@ def measure() -> list[dict]:
     from patstats.words import Pattern, Word
 
     rows = []
-    for kind, text, n, m, holes in TOTALS:
+    for kind, text, n, m, holes, workers in TOTALS:
         total, secs = _timed(lambda: oracle.total_count(CountKind[kind], n, m,
-                                                        Pattern.from_text(text), holes=holes))
+                                                        Pattern.from_text(text), holes=holes,
+                                                        workers=workers))
         rows.append({"name": f"total_count({kind}, {text!r}, n={n}, m={m}"
-                             + (f", holes={holes})" if holes is not None else ")"),
+                             + (f", holes={holes}" if holes is not None else "")
+                             + (f", workers={workers})" if workers > 1 else ")"),
                      "layer": "oracle", "result_sha256": _digest(format(total, "x")),
                      "work": {"words": oracle.population_size(CountKind[kind], n, m, holes)},
                      "seconds": secs})

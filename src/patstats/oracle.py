@@ -56,11 +56,14 @@ the reverse of every word in the orbit of w has the count of the reverse of
 w.  So the weighted sum of the counts of the reversed words is the total,
 whether p reads the same reversed or not; the weight and the mirror test still
 read w itself.  The words come from one depth-first traversal of their
-prefixes, the one the search makes: the kernel holds w reversed, w[i] at
-position n - 1 - i, so a node puts one letter and backing up takes it, and
-the walk from position n - d reads only the prefix w[:d].  The count of w is
-the sum of the walks of the nodes on its path, and each node is walked once,
-when the first word under it that is walked arrives (see _stripe_total).
+prefixes, _prefixes, which the search makes too: the kernel holds w reversed,
+w[i] at position n - 1 - i, so a prefix puts one letter and backing up takes
+it, and the walk from position n - d reads only the prefix w[:d].  The count
+of w is the sum of the walks of the prefixes on its path, and each prefix is
+walked once, when the first word under it that is walked arrives.  A caller
+prunes a prefix through the traversal: the search each one that closes an
+occurrence, and a worker of a split total each prefix at depth ceil(n / 2)
+that is not dealt to it (see _dealt_total).
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ import enum
 import os
 from fractions import Fraction
 from functools import partial
+from itertools import cycle
 from math import comb, perm
 
 from .errors import BudgetExceededError
@@ -76,11 +80,12 @@ from .words import HOLE, Pattern, PartialWord, Word
 
 DEFAULT_WORD_BUDGET = 5_000_000
 # total_count's words walked per worker, about the words of the shape over m!.
-# Every worker makes the whole traversal of the prefixes and walks only the
-# nodes above its own words.  On 2 cores a second worker for aba paid from
-# between 2,048 and 4,096 of them (ABELIAN), 3,280 and 9,841
-# (PARTIAL_COLLAPSED) and 8,192 and 16,384 (FULL); a pool from 8,192 pays for
-# ABELIAN and about breaks even for the other two.
+# Each worker opens only the subtrees dealt to it.  On 2 cores a second worker
+# for aba paid from between 4,096 and 8,192 of them (FULL), 3,280 and 9,841
+# (PARTIAL_COLLAPSED) and already at 4,096 (ABELIAN).  A pool of two, which
+# this starts from 8,192, ran every kind 1.36-1.58x as fast as in-process
+# there (9,841 for PARTIAL_COLLAPSED); below, FULL and PARTIAL_COLLAPSED lost
+# (0.70-0.84).
 _WALKED_PER_WORKER = 4096
 
 
@@ -403,7 +408,8 @@ def _check_shape(kind: CountKind, n: int, m: int, holes: int | None) -> None:
 
 def population_size(kind: CountKind, n: int, m: int, holes: int | None = None) -> int:
     """Number of words of the shape: those total_count sums over, and what its
-    budget counts."""
+    budget counts.  Raises ValueError on a shape total_count rejects."""
+    _check_shape(kind, n, m, holes)
     if kind in (CountKind.FULL, CountKind.ABELIAN):
         return m ** n
     if holes is None:
@@ -425,81 +431,102 @@ def _mirror_order(chars) -> int:
     return 0
 
 
-def _candidates(m: int, top: int, due: int | None, left: int, partial_kind: bool) -> list[int]:
-    """The characters that may come next in first-occurrence form, the least
-    last, as the traversals take them from the end: the letters up to one past
-    top, the largest so far (HOLE before the first), and on partial words the
-    hole, unless due, the holes left to place (None for any number), is 0 or
-    the number of positions left, which then all take the hole."""
-    if partial_kind and due == left:
-        return [HOLE]
-    untried = list(range(min(top + 1, m - 1), -1, -1))
-    if partial_kind and due != 0:
-        untried.insert(0, HOLE)
-    return untried
+def _prefixes(kind: CountKind, m: int, holes: int | None, chars: list[int], put, take):
+    """The one depth-first traversal of the prefixes in first-occurrence form
+    of the words of length n = len(chars) over m letters with `holes` holes
+    (any number when None), shared by the totals and the search.
 
-
-def _stripe_total(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
-                  holes: int | None, stride: int, offset: int) -> int:
-    """The weighted total over every stride-th word, from the offset-th on, of
-    the words in first-occurrence form in the order of one depth-first
-    traversal of their prefixes, each walked reversed (see the module
-    docstring).  A loop over a stack of the untried candidates per depth puts
-    a prefix's last letter in the kernel when it opens the prefix and takes it
-    when it backs up.  The walk from position n - d, a node at depth d, is
-    made once, when the first word of the stripe under that node arrives, and
-    the count of a word is the sum of the walks along its path."""
-    put, take, occurrences = _walker(kind, m, syms, n)
+    Yields (d, top) for each prefix: its length d, with the prefix written to
+    chars[:d], and its largest letter top (HOLE if none), so a prefix's j
+    distinct letters are top + 1.  At every position the characters come in
+    the order a < b < ... < hole: letter c only after 0, ..., c - 1 (up to
+    one past the largest so far), and on partial words the hole, unless the
+    holes left to place are 0 or the number of positions left, which then
+    all take it.  A caller prunes a prefix, so that none of its extensions is
+    yielded, by sending a true value at it; the send returns None.  The
+    kernel follows the traversal: a prefix's last character is put before
+    the prefix is yielded and taken when the traversal backs up past it, so
+    the kernel holds chars[:d] at a yield of d < n.  At d = n it holds
+    chars[:n - 1]: the last character of a word is left to the caller to put
+    and take, as the totals walk only some of the words."""
+    n = len(chars)
     partial_kind = kind in PARTIAL_KINDS
-    weights = [perm(m, j) for j in range(min(m, n) + 1)]  # by distinct letters
-    mirror = not _mirror_order(syms)  # syms is in first-occurrence form
-    chars = [HOLE] * n  # chars[:depth] is in the kernel
-    # per depth d: the untried candidates for chars[d], the largest letter of
-    # chars[:d] and the holes left to place after it
+    # per depth d: the untried candidates for chars[d], the least last, the
+    # largest letter of chars[:d] (HOLE before the first) and the holes left
+    # to place after it
     stack: list[list[int]] = [[]] * n
     tops, dues = [HOLE] * n, [holes] * n
-    sums = [0] * n  # sums[d]: the walks of the nodes at depths 1..d
-    walked = 0  # sums[:walked + 1] hold for chars
-    skip = offset  # words left to pass before the next one of the stripe
-    total = 0
     depth, top, due = 0, HOLE, holes
     while True:
-        if depth < n - 1:  # open chars[:depth]
-            stack[depth] = _candidates(m, top, due, n - depth, partial_kind)
-            tops[depth], dues[depth] = top, due
-        else:  # add the words of the stripe that extend chars[:n - 1]
-            for c in reversed(_candidates(m, top, due, 1, partial_kind)):
-                if skip:
-                    skip -= 1
-                    continue
-                skip = stride - 1
-                chars[-1] = c
-                order = _mirror_order(chars) if mirror else 0
-                if order >= 0:
-                    put(c)
-                    for d in range(walked + 1, n):
-                        sums[d] = sums[d - 1] + occurrences(n - d)
-                    walked = n - 1
-                    weight = weights[(top if top > c else c) + 1]  # HOLE is -1
-                    total += (2 * weight if order else weight) * (sums[-1] + occurrences(0))
-                    take()
-            stack[depth] = []
-        while not stack[depth]:  # every candidate here is spent: back up
-            if not depth:
-                return total
-            depth -= 1
+        untried = list(range(min(top + 1, m - 1), -1, -1))
+        if partial_kind and due == n - depth:  # every position left takes the hole
+            untried = [HOLE]
+        elif partial_kind and due != 0:
+            untried.insert(0, HOLE)
+        if depth < n - 1:
+            stack[depth], tops[depth], dues[depth] = untried, top, due
+        else:
+            for c in reversed(untried):
+                chars[depth] = c
+                if (yield n, c if c > top else top):
+                    yield  # the value of send
+        while True:
+            while not stack[depth]:  # every candidate here is spent: back up
+                if not depth:
+                    return
+                depth -= 1
+                take()
+            c = stack[depth].pop()
+            chars[depth] = c
+            put(c)
+            top, due = tops[depth], dues[depth]
+            if c > top:
+                top = c
+            elif c == HOLE and due is not None:
+                due -= 1
+            if not (yield depth + 1, top):
+                break
+            yield  # the value of send
             take()
-        c = stack[depth].pop()
-        chars[depth] = c
-        put(c)
-        top, due = tops[depth], dues[depth]
-        if c > top:
-            top = c
-        elif c == HOLE and due is not None:
-            due -= 1
         depth += 1
-        if walked >= depth:
-            walked = depth - 1
+
+
+def _dealt_total(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
+                 holes: int | None, workers: int, worker: int) -> int:
+    """The weighted total over the words in first-occurrence form under the
+    prefixes at depth ceil(n / 2) that are dealt to `worker` when they are
+    dealt round-robin to `workers`, each word walked reversed (see the module
+    docstring).  Every other prefix at that depth is pruned, so a worker
+    opens only its own subtrees.  The walk from position n - d, a prefix at
+    depth d, is made once, when the first word under it that is walked
+    arrives, and the count of a word is the sum of the walks along its path."""
+    put, take, occurrences = _walker(kind, m, syms, n)
+    weights = [perm(m, j) for j in range(min(m, n) + 1)]  # by distinct letters
+    mirror = not _mirror_order(syms)  # syms is in first-occurrence form
+    chars = [HOLE] * n
+    sums = [0] * n  # sums[d]: the walks of the prefixes at depths 1..d
+    walked = 0  # sums[:walked + 1] hold for chars
+    deal, turns = (n + 1) // 2, cycle(range(workers))
+    total = 0
+    prefixes = _prefixes(kind, m, holes, chars, put, take)
+    for depth, top in prefixes:
+        if depth == deal and next(turns) != worker:
+            prefixes.send(True)
+            continue
+        if depth < n:
+            if walked >= depth:
+                walked = depth - 1
+            continue
+        order = _mirror_order(chars) if mirror else 0
+        if order >= 0:
+            put(chars[-1])
+            for d in range(walked + 1, n):
+                sums[d] = sums[d - 1] + occurrences(n - d)
+            walked = n - 1
+            weight = weights[top + 1]  # HOLE is -1
+            total += (2 * weight if order else weight) * (sums[-1] + occurrences(0))
+            take()
+    return total
 
 
 def total_count(kind: CountKind, n: int, m: int, p: Pattern,
@@ -512,30 +539,30 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
     (m+1)^n partial words, or over the C(n,holes)*m^(n-holes) words with the
     exact hole count when holes is given.  Only the words in first-occurrence
     form are walked, each with the weight of its orbit (see the module
-    docstring), in the order of one traversal of their prefixes: worker i of W
-    makes the whole traversal and sums every W-th word of it from the i-th
-    on.  W is the requested workers, which must be at least 1, capped by the
-    CPU count and by one worker per _WALKED_PER_WORKER words walked,
-    estimated as the words of the shape over m!; one worker sums in-process.
+    docstring), by one traversal of their prefixes.  The prefixes at depth
+    ceil(n / 2) are dealt round-robin to W workers, and each worker prunes
+    those that are not its own, so it opens only its own subtrees.  W is the
+    requested workers, which must be at least 1, capped by the CPU count and
+    by one worker per _WALKED_PER_WORKER words walked, estimated as the words
+    of the shape over m!; one worker sums in-process.
     Aggregation is an integer sum, so the split cannot change the result.
     """
-    _check_shape(kind, n, m, holes)
+    pop = population_size(kind, n, m, holes)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    pop = population_size(kind, n, m, holes)
     if pop > budget:
         raise BudgetExceededError(
             f"enumerating {pop} words exceeds the budget of {budget}",
             needed=pop, budget=budget)
     workers = max(1, min(workers, os.cpu_count() or 1, pop // perm(m) // _WALKED_PER_WORKER))
-    stripe_total = partial(_stripe_total, kind, n, m, p.symbols, holes, workers)
+    dealt_total = partial(_dealt_total, kind, n, m, p.symbols, holes, workers)
     if workers == 1:
-        return stripe_total(0)
+        return dealt_total(0)
     # imported here: the pool machinery costs ~2 MB of memory that
     # single-process callers never need
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(stripe_total, range(workers)))
+        return sum(pool.map(dealt_total, range(workers)))
 
 
 def mean_exact(kind: CountKind, n: int, m: int, p: Pattern,

@@ -7,10 +7,10 @@ occurrences that end at the last position are looked for: reversed, with
 blocks still equal, anagrams or compatible, they are the occurrences of the
 reversed pattern that start the reversed prefix, which the oracle's kernel
 for the reversed pattern, built once per search, finds in anchored mode.  The
-kernel holds the reversed prefix and follows the search one character at a
-time: a node puts its character and backing up takes it, so no node rebuilds
-the state of the whole prefix.  The candidates at each depth come from the
-oracle's rule, the one its totals traverse by.  Found witnesses are
+search is the oracle's traversal of the prefixes in first-occurrence form,
+the one its totals make (`oracle._prefixes`): the kernel follows it one
+character at a time, so no node rebuilds the state of the whole prefix, and
+the search prunes each prefix that closes an occurrence.  Found witnesses are
 re-verified against the oracle's count before return.
 """
 
@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .oracle import CountKind, PARTIAL_KINDS, _candidates, _check_shape, _walker, count
+from .oracle import CountKind, PARTIAL_KINDS, _check_shape, _prefixes, _walker, count
 from .words import HOLE, Pattern, PartialWord, Word
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -47,45 +47,34 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
     Returns (status, chars, nodes, deepest): chars is the witness when FOUND,
     nodes counts the characters tried and deepest is the length of the longest
     avoiding prefix reached.  Raises BudgetExceededError at the node past the
-    budget.  One loop over a stack of the untried candidates per depth, read
-    off the prefix, so nothing but the node budget limits the length.  The
-    kernel holds the prefix reversed at the right end of a buffer of `length`
-    positions: each node puts its character and backing up takes it.
+    budget.  The prefixes come from oracle._prefixes, a loop, so nothing but
+    the node budget limits the length.  The kernel holds the prefix reversed
+    at the right end of a buffer of `length` positions; the traversal puts
+    and takes each character but the last of a full-length word, which the
+    search puts to check it.
     """
     _check_shape(kind, length, m, holes)
     if budget < 1:
         raise ValueError("budget must allow at least one node")
     put, take, occurrences = _walker(kind, m, syms[::-1], length)
-    partial = kind in PARTIAL_KINDS
-    chars: list[int] = []
-    stack: list[list[int]] = []
+    chars = [HOLE] * length
     nodes = deepest = 0
-    while True:
-        if len(stack) == len(chars):  # chars avoids syms: open the next depth
-            deepest = max(deepest, len(chars))
-            if len(chars) == length:
-                return SearchStatus.FOUND, chars, nodes, deepest
-            # first-occurrence form (see find_avoiding); HOLE is -1
-            due = None if holes is None else holes - chars.count(HOLE)  # holes to place
-            stack.append(_candidates(m, max(chars, default=HOLE), due, length - len(chars),
-                                     partial))
-        if not stack[-1]:  # every candidate here is spent: back up
-            stack.pop()
-            if not chars:
-                return SearchStatus.EXHAUSTED, chars, nodes, deepest
-            chars.pop()
-            take()
-            continue
+    prefixes = _prefixes(kind, m, holes, chars, put, take)
+    for depth, _ in prefixes:
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"search exceeded {budget} nodes",
                                       needed=nodes, budget=budget)
-        c = stack[-1].pop()
-        chars.append(c)
-        put(c)
-        if occurrences(length - len(chars), True):
-            chars.pop()
+        if depth == length:
+            put(chars[-1])
+            if not occurrences(0, True):
+                return SearchStatus.FOUND, chars, nodes, length
             take()
+        elif occurrences(length - depth, True):
+            prefixes.send(True)
+        elif depth > deepest:
+            deepest = depth
+    return SearchStatus.EXHAUSTED, chars, nodes, deepest
 
 
 def find_avoiding(kind: CountKind, p: Pattern, m: int, length: int,

@@ -22,7 +22,9 @@ position at a time answers as a fresh kernel with the same positions put does.
 Totals walk one word per orbit of the letter permutations and, for patterns
 that read the same reversed, reversal; the reference sums every word, and the
 reversed word's first-occurrence form, built whole, is the reference for the
-letter-by-letter test that picks one word of each reversed pair.  The search
+letter-by-letter test that picks one word of each reversed pair.  The totals
+and the search share one traversal of the prefixes in first-occurrence form;
+the words of all_words in that form are its reference.  The search
 tries only words in first-occurrence form; a search that tries every letter is
 the reference, and the search outcomes the replaced walkers produced are
 pinned.
@@ -701,6 +703,51 @@ def test_mirror_order_matches_reversed_first_occurrence_form(kind, n, m):
             assert oracle._mirror_order(chars) == _mirror_order_by_form(chars), chars
 
 
+def _traversal(kind, m, n, holes, pruned=lambda prefix: False):
+    """The prefixes oracle._prefixes yields, sending a true value at each one
+    pruned flags, with a list standing in for the kernel: at each yield it
+    must hold the prefix, less the last character of a full-length word."""
+    chars, kernel = [HOLE] * n, []
+    prefixes = oracle._prefixes(kind, m, holes, chars, kernel.append, kernel.pop)
+    seen = []
+    for depth, top in prefixes:
+        prefix = tuple(chars[:depth])
+        assert kernel == list(prefix[:min(depth, n - 1)]), prefix
+        assert top == max(prefix), prefix
+        seen.append(prefix)
+        if pruned(prefix):
+            assert prefixes.send(True) is None
+    assert not kernel
+    return seen
+
+
+@pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_traversal_yields_each_first_occurrence_prefix_once(kind, m):
+    # the words come in the order of all_words, a < b < ... < hole, the order
+    # in which the search's witness is the least; each prefix comes once,
+    # before the words that extend it, and pruning a prefix drops exactly its
+    # extensions, at full length too (where there are none)
+    partial = kind in PARTIAL_KINDS
+    for n in range(1, 7):
+        for holes in [None] + (list(range(n + 1)) if partial else []):
+            seen = _traversal(kind, m, n, holes)
+            words = [prefix for prefix in seen if len(prefix) == n]
+            assert words == [chars for chars in all_words(n, m, partial, holes)
+                             if _first_occurrence_form(chars)], (n, holes)
+            assert sorted(seen) == sorted({w[:d] for w in words for d in range(1, n + 1)})
+            following = None  # the next word after each prefix
+            for prefix in reversed(seen):
+                following = prefix if len(prefix) == n else following
+                assert following[:len(prefix)] == prefix, (n, holes, prefix)
+            for modulus in (2, 3):
+                def pruned(prefix):
+                    return (sum(prefix) + len(prefix)) % modulus == 0
+                assert _traversal(kind, m, n, holes, pruned) == [
+                    prefix for prefix in seen
+                    if not any(pruned(prefix[:d]) for d in range(1, len(prefix)))], (n, holes)
+
+
 @pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("text", ["aba", "abba", "abcab", "aab", "aaba"])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -754,6 +801,9 @@ def _pool_sizes(monkeypatch, cpus, kind, n, m, holes, workers, walked_per_worker
     (CountKind.FULL, None, 2),  # 16 words of the shape, over m! = 2: 8
     (CountKind.PARTIAL_COLLAPSED, None, 10),  # 81 words: 40
     (CountKind.PARTIAL_MORPHISM, 1, 6),  # 32 words: 16
+    # 24 words: 12; 3 of the 8 workers get none of the 5 prefixes at depth 2
+    # (aa, ab, a., .a, ..) that are dealt round-robin
+    (CountKind.PARTIAL_COLLAPSED, 2, 8),
 ])
 def test_worker_pool_is_capped_at_the_work_units(monkeypatch, kind, holes, cpus):
     # 5,000 workers asked for, fewer CPUs than words: one process per CPU
@@ -766,6 +816,9 @@ def test_worker_pool_is_capped_at_the_work_units(monkeypatch, kind, holes, cpus)
     (6, 2, 3, 8, [3]),
     (2, 2, 5000, 8, [2]),  # at most one per m! words of the shape
     (6, 2, 8, 1, []),  # one worker sums in-process
+    # the prefixes at depth ceil(n / 2) are dealt round-robin, so 6 of these
+    # 8 workers get none of the 2 (aa, ab)
+    (4, 3, 8, 8, [8]),
 ])
 def test_worker_pool_is_capped_at_the_workers_and_the_words(monkeypatch, n, m, workers,
                                                            cpus, sizes):

@@ -272,3 +272,10 @@ def test_population_sizes():
     assert population_size(FULL, 3, 2) == 8
     assert population_size(COLLAPSED, 3, 2) == 27
     assert population_size(MORPH, 4, 2, holes=1) == 4 * 8
+    # the shapes total_count rejects, with its messages
+    with pytest.raises(ValueError, match=r"hole count must lie in \[0, n\]"):
+        population_size(COLLAPSED, 3, 2, holes=5)
+    with pytest.raises(ValueError, match=r"hole count must lie in \[0, n\]"):
+        population_size(COLLAPSED, 3, 2, holes=-1)
+    with pytest.raises(ValueError, match="hole count only applies to partial kinds"):
+        population_size(FULL, 3, 2, holes=1)
