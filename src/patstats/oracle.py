@@ -151,8 +151,7 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
     What the pattern alone fixes is prepared once per walker: the step table
     of _plan, the walk and the weight, and the arrays of block starts, lengths
     and match sets they fill in.  put and take update the word's state at one
-    position: the letter masks and the hole mask, the ABELIAN suffix sums and,
-    for a partial variable with a third block, the per-shift conflict masks.
+    position: the letter masks and the hole mask, and the ABELIAN suffix sums.
     ABELIAN groups the windows of a block length by histogram only when a walk
     asks for that length, down to the leftmost filled start, and take drops
     the start it empties from each group that holds it.
@@ -165,12 +164,13 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
     hole (partial kinds; a hole in the block admits anything).  A later block
     is then one bit test: equality on full words, compatibility with the
     first block on partial words.  A partial variable's third and later
-    blocks are also checked against the blocks in between with the conflict
-    masks (bit i of the mask for shift d: positions i and i + d hold two
-    different letters), since compatibility with each earlier block is
-    compatibility with their overlay.  ABELIAN compares letter histograms
-    read off suffix sums packed in one int per position (base 2^bits > n, so
-    no packed count carries): the window [a, b) is suf[a] - suf[b].
+    blocks are also checked against each block in between, since
+    compatibility with each earlier block is compatibility with their
+    overlay: from the letter masks, the positions where the block holds a
+    letter that the other block neither holds nor leaves a hole for.  ABELIAN
+    compares letter histograms read off suffix sums packed in one int per
+    position (base 2^bits > n, so no packed count carries): the window
+    [a, b) is suf[a] - suf[b].
 
     Lengths.  A fresh variable's first block tries its lengths as the set bits
     of one int, lowest first.  When the block right after it is a copy of an
@@ -180,11 +180,11 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
     int from the starts of the windows of the copy's length that have its
     histogram.  For FULL and ABELIAN these are exactly the lengths whose next
     block passes; for the partial kinds they pass the first-block test, and
-    the conflict masks still check the blocks in between.  A fresh block
-    followed by another fresh block or by its own copy (aa, abba) tries every
-    length.  The length equation bounds them all: which variables are bound
-    at each index is fixed by the pattern, so a fresh variable occurring c
-    times from here on gets a length of at most (room - fixed - free) // c,
+    the blocks in between are still checked.  A fresh block followed by
+    another fresh block or by its own copy (aa, abba) tries every length.
+    The length equation bounds them all: which variables are bound at each
+    index is fixed by the pattern, so a fresh variable occurring c times from
+    here on gets a length of at most (room - fixed - free) // c,
     where fixed is the total length of the later blocks of bound variables and
     free the number of later blocks of still-fresh ones.  A match set only
     loses bits as its block grows, so a repeated variable's lengths stop once
@@ -199,7 +199,6 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
     k = len(syms)
     abelian = kind is CountKind.ABELIAN
     steps = _plan(syms, kind)
-    checked = any(others for step in steps if step for _, _, others in step[5])
     groups = [[j for j, u in enumerate(syms) if u == v] for v in set(syms)] \
         if kind is CountKind.PARTIAL_MORPHISM else ()
     at = [0] * k     # start of each placed block
@@ -208,7 +207,6 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
     # the word's state at the filled positions lo..n-1
     word = [HOLE] * n
     masks = [0] * m + [-1]  # per letter, its positions and the holes; a hole admits any
-    conf = [0] * n          # per shift: the positions that clash with the one that far right
     suf = [0] * (n + 1)     # ABELIAN: the packed histogram of the positions from each on
     unit = [(1 << n.bit_length()) ** c for c in range(m)]
     windows = {}  # ABELIAN, per block length: [starts by histogram, the leftmost grouped]
@@ -287,10 +285,12 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
                     if not match[first] >> p & 1:
                         break
                     if others:
-                        mask, clash = (1 << step) - 1, 0
-                        for j in others:
-                            clash |= (conf[p - at[j]] >> at[j]) & mask
-                        if clash:
+                        clash = 0
+                        for j in others:  # this block's letters that block j lacks
+                            q = at[j]
+                            for y in range(m):
+                                clash |= (masks[y] & ~holes) >> p & ~(masks[y] >> q)
+                        if clash & ((1 << step) - 1):
                             break
                 at[i] = p
                 p, f = p + step, f - step
@@ -323,14 +323,6 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
                     group[1] = lo
         return put, take, occurrences
 
-    def clashes(q: int, c: int, bit: int) -> None:
-        """Flip bit q of the conflict masks of the shifts d where q + d holds
-        a letter other than c."""
-        for d in range(1, n - q):
-            e = word[q + d]
-            if e != c and e != HOLE:
-                conf[d] ^= bit
-
     def put(c: int) -> None:
         nonlocal lo, holes
         lo -= 1
@@ -342,8 +334,6 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
                 masks[x] |= bit
         else:
             masks[c] |= bit
-            if checked:
-                clashes(lo, c, bit)
 
     def take() -> None:
         nonlocal lo, holes
@@ -356,8 +346,6 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
                 masks[x] ^= bit
         else:
             masks[c] ^= bit
-            if checked:
-                clashes(q, c, bit)
     return put, take, occurrences
 
 

@@ -578,10 +578,11 @@ def _kernel_closes(kind, m, syms, chars):
 
 
 # aaa reaches a third block (the partial kinds check it against the second
-# too), in abcba the copy after c reaches back past b to a, and in aaba the
-# copy after b, which its first block places, is a third block
+# too), aaaa a fourth (checked against two blocks in between), in abcba the copy
+# after c reaches back past b to a, and in aaba the copy after b, which its
+# first block places, is a third block
 KERNEL_PATTERNS = ["a", "aa", "ab", "aba", "aab", "abab", "abba", "aabb", "abcab",
-                   "aaa", "abcba", "aaba"]
+                   "aaa", "aaaa", "abcba", "aaba"]
 
 
 @pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
