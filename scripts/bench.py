@@ -4,15 +4,15 @@ builders, the bound calculators, the decimal output of a bound and the abelian
 constant, and every command-line example of the README, run in-process
 through cli.main.
 
-    python scripts/bench.py                        # rows for the library on sys.path
     python scripts/bench.py --before OLD --after NEW --out BENCH.json
+    python scripts/bench.py --before TREE --after TREE   # one tree against itself
 
 OLD and NEW are checkouts of this repository.  The comparison loads the
 src/patstats of both into this one interpreter, under two package names, so
 the two sides run side by side in the same process; the package's imports are
 relative, so each side's modules come from its own tree, and a load that
-reaches a module outside it stops the script.  Without --before and --after
-the package on sys.path is the one side.
+reaches a module outside it stops the script.  To time one tree, pass it as
+both sides.
 
 Every row is timed by one rule.  Its call is built once per side.  A first
 call per side gives the row's result, and its time the number of calls that
@@ -22,9 +22,11 @@ alternating from round to round, and a garbage collection before each sample.
 A side's seconds is the median of its samples, in seconds per call, reported
 with their first and third quartiles and the samples themselves, so a speedup
 can be read against the spread.  The speedup is the median over the rounds of
-the before sample over the after sample: the two were taken back to back, so a
-change of the host's speed between rounds falls on both alike.  A pool row's
-workers are forked from this interpreter and inherit both packages.
+the before sample over the after sample, reported with the first and third
+quartiles of those ratios: the two were taken back to back, so a change of the
+host's speed between rounds falls on both alike and cancels in their ratio,
+though not in the ratio of the two sides' seconds.  A pool row's workers are
+forked from this interpreter and inherit both packages.
 
 A row records its inputs, a hash of the result (so the two sides can be seen
 to give the same answer) and a work counter.  Rows that print a leading-term
@@ -33,8 +35,7 @@ relative difference: a mean is a float evaluation, and the same value computed
 in another order may differ in its last bits.  So do the abelian constants with
 k >= 3, whose truncation point moves with the tail bound (the value moves
 within eps); an abelian constant that raises ToleranceError records the error
-and its term count.  The comparison adds the wall time of each checkout's
-tier-1 test command, run once per side in a subprocess of that checkout.
+and its term count.
 """
 
 import argparse
@@ -48,7 +49,6 @@ import os
 import platform
 import random
 import statistics
-import subprocess
 import sys
 import time
 from functools import partial
@@ -94,8 +94,6 @@ KERNEL_COUNTS = [("FULL", "abab", 100), ("ABELIAN", "aba", 70)]
 KERNEL_RAMSEY = ("FULL", "abab", 2, 25)
 KERNEL_FIND = ("PARTIAL_COLLAPSED", "aa", 3, 14, 1)
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
-TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider"]
 
 
 def _digest(text: str) -> str:
@@ -299,20 +297,8 @@ def _load(tree: str, alias: str):
     return ps
 
 
-def _tier1(tree: str) -> dict:
-    start = time.perf_counter()
-    run = subprocess.run(TIER1, env=dict(os.environ, PYTHONPATH=os.path.join(tree, "src")),
-                         cwd=tree, capture_output=True, text=True)
-    secs = time.perf_counter() - start
-    summary = run.stdout.strip().splitlines()[-1] if run.stdout.strip() else ""
-    return {"name": "tier-1 suite", "layer": "end-to-end", "result_sha256": None,
-            "work": {"summary": summary}, "seconds": secs, "samples": [secs]}
-
-
 def compare(before: str, after: str) -> dict:
     old, new = measure([_load(before, "patstats_before"), _load(after, "patstats_after")])
-    old.append(_tier1(before))
-    new.append(_tier1(after))
     rows = []
     for a, b in zip(old, new):
         row = {"name": a["name"], "layer": a["layer"]}
@@ -326,14 +312,16 @@ def compare(before: str, after: str) -> dict:
         row["before"] = {k: a[k] for k in keys if k in a}
         row["after"] = {k: b[k] for k in keys if k in b}
         # each round's two samples ran back to back, so their ratio is free of drift
-        row["speedup"] = statistics.median(x / y for x, y in zip(a["samples"], b["samples"]))
+        low, row["speedup"], high = statistics.quantiles(
+            [x / y for x, y in zip(a["samples"], b["samples"])], n=4)
+        row["speedup_quartiles"] = [low, high]
         rows.append(row)
     return {"method": f"time.perf_counter, both checkouts in one interpreter; {ROUNDS} rounds"
                       f" of one sample per side of about {SAMPLE} s (calls per sample from a first"
                       " call), first side alternating, a garbage collection before each sample;"
-                      " seconds the median sample, speedup the median ratio of a round's two;"
-                      " rows that print a leading-term mean report the relative difference of"
-                      " the printed floats; the tier-1 suite runs once per side in a subprocess",
+                      " seconds the median sample, speedup the median ratio of a round's two"
+                      " with the quartiles of those ratios; rows that print a leading-term mean"
+                      " report the relative difference of the printed floats",
             "machine": {"python": platform.python_version(), "platform": platform.platform(),
                         "nproc": os.cpu_count()},
             "rows": rows}
@@ -342,18 +330,11 @@ def compare(before: str, after: str) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--before", help="checkout measured as the before side")
-    ap.add_argument("--after", help="checkout measured as the after side")
+    ap.add_argument("--before", required=True, help="checkout measured as the before side")
+    ap.add_argument("--after", required=True, help="checkout measured as the after side")
     ap.add_argument("--out", help="write the comparison here instead of stdout")
     args = ap.parse_args()
-    if bool(args.before) != bool(args.after):
-        ap.error("--before and --after go together")
-    if args.before:
-        report = compare(args.before, args.after)
-    else:
-        import patstats.cli
-        report = measure([patstats])[0]
-    text = json.dumps(report, indent=2)
+    text = json.dumps(compare(args.before, args.after), indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

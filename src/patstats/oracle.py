@@ -530,14 +530,16 @@ def total_count(kind: CountKind, n: int, m: int, p: Pattern,
     docstring), by one traversal of their prefixes.  The prefixes at depth
     ceil(n / 2) are dealt round-robin to W workers, and each worker prunes
     those that are not its own, so it opens only its own subtrees.  W is the
-    requested workers, which must be at least 1, capped by the CPU count and
-    by one worker per _WALKED_PER_WORKER words walked, estimated as the words
-    of the shape over m!; one worker sums in-process.
+    requested workers, which must be at least 1 (as must the budget), capped
+    by the CPU count and by one worker per _WALKED_PER_WORKER words walked,
+    estimated as the words of the shape over m!; one worker sums in-process.
     Aggregation is an integer sum, so the split cannot change the result.
     """
     pop = population_size(kind, n, m, holes)
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if budget < 1:
+        raise ValueError("budget must allow at least one word")
     if pop > budget:
         raise BudgetExceededError(
             f"enumerating {pop} words exceeds the budget of {budget}",

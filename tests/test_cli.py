@@ -301,12 +301,15 @@ def test_each_command_records_its_own_fields(capsys, argv, code, command, kind, 
 
 @pytest.mark.parametrize("argv", [
     "search find --kind full -p aba -m 2 -n 4 --budget 0",
+    "oracle total --kind full -p aa -m 2 -n 3 --budget 0",
+    "oracle mean --kind full -p aa -m 2 -n 2 --budget -5",
     "coeff --kind full -p aa -m 2 -n 2 --order 3",  # the option is gone
     "bounds zimin-upper -m 2 -i 2 --cap -5",
     "bounds zimin-upper -m 2 -i 2 --cap 0",
     "bounds zimin-upper -m 2 -i 2 --mode tetration --cap 0",
     "stats --kind abelian -p aa -m 12 -n 10 --eps nan",
-], ids=["search-budget-0", "coeff-order", "zimin-upper-cap-negative", "zimin-upper-cap-0",
+], ids=["search-budget-0", "oracle-total-budget-0", "oracle-mean-budget-negative",
+        "coeff-order", "zimin-upper-cap-negative", "zimin-upper-cap-0",
         "zimin-upper-tetration-cap-0", "stats-eps-nan"])
 def test_exit_code_rejected_option_value(capsys, argv):
     code, out, err = run(capsys, *argv.split())

@@ -97,6 +97,14 @@ def test_total_rejects_fewer_than_one_worker(workers):
         mean_exact(FULL, 3, 2, P("aa"), workers=workers)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_total_rejects_a_budget_below_one_word(budget):
+    with pytest.raises(ValueError, match="budget"):
+        total_count(FULL, 3, 2, P("aa"), budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        mean_exact(FULL, 3, 2, P("aa"), budget=budget)
+
+
 def test_total_walks_a_word_past_the_recursion_limit():
     # one word of 1,200 letters: the traversal of its prefixes is a loop, and
     # aa starts floor(r / 2) occurrences r letters from the end
