@@ -55,11 +55,13 @@ from functools import partial
 
 UPARROW = [(3, 3), (3, 4), (2, 5)]
 ZIMIN_UPPER = [(2, 4), (4, 4)]
-# (m, k, eps); checkouts whose tail bound ignores k raise ToleranceError on (8, 3, 1e-9)
-# and (4, 4, 1e-6); (5, 2, 1e-3) sums 882 squared-variable terms
+# (m, k, eps); (8, 3, 1e-9) and (4, 4, 1e-6) sum the most terms of the k >= 3 rows (65
+# and 148), (5, 2, 1e-3) sums 882 squared-variable terms, and (4, 2, 1e-3) raises
+# ToleranceError after 1 term (the m = 4 factor reaches no tolerance), so one row
+# records an error for the two sides to agree on
 ABELIAN = [(12, 2, 1e-9), (11, 2, 1e-9), (11, 2, 1e-8), (10, 2, 1e-7), (10, 3, 1e-6),
            (11, 3, 1e-7), (12, 3, 1e-8), (12, 4, 1e-6), (8, 3, 1e-9), (4, 4, 1e-6),
-           (5, 2, 1e-3)]
+           (5, 2, 1e-3), (4, 2, 1e-3)]
 # patterns whose repeated variables share one multiplicity: (pattern, m, n, eps)
 ABELIAN_MEANS = [("aabbcc", 11, 1000, 1e-9)]
 # timed samples per side, and the length of one sample: a call timed alone for

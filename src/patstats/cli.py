@@ -2,10 +2,15 @@
 
 Every invocation prints one record with the stable field set
 {command, kind, inputs, result, provenance} as JSON (default) or CSV.
-Exact values are emitted as decimal strings, never as floats, and a non-finite
-float result as the string float() reads back ("inf").  Exit codes:
-0 success, 1 domain error (violated precondition, bad input), 2 budget or
-tolerance failure.
+The inputs are the command's own options as parsed, in the order they are
+declared, each under its destination name (-m/--alphabet as m, -n as n or
+length); they leave out --kind, which is the record's kind, the work limits
+--budget and --eps, the global --format and --threads, values left unset and
+flags not given.  Fractions among them are strings.  Exact values are emitted
+as decimal strings, never as floats, and a non-finite float result as the
+string float() reads back ("inf").  A library warning prints to stderr as
+one "warning:" line.  Exit codes: 0 success, 1 domain error (violated
+precondition, bad input), 2 budget or tolerance failure.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from . import asymptotics, bounds, genfunc, oracle, search
@@ -33,10 +39,6 @@ class _Parser(argparse.ArgumentParser):
     # budget/tolerance failures here, so a usage error is a domain error (exit 1).
     def error(self, message):
         raise ValueError(message)
-
-
-_COUNT_KINDS = {k.value: k for k in CountKind}
-_MEAN_KINDS = {k.value: k for k in MeanKind}
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -85,14 +87,14 @@ def _emit(record: dict, fmt: str) -> None:
 
 
 def _leaf(parent, name: str, run, kinds=None, **kwargs) -> _Parser:
-    """A command parser whose handler `run` returns (inputs, result, provenance) for
+    """A command parser whose handler `run` returns (result, provenance) for
     main's record; given kinds, it takes --kind, -p and -m."""
     pp = parent.add_parser(name, **kwargs)
     pp.set_defaults(run=run)
     if kinds is not None:
         pp.add_argument("--kind", required=True, choices=kinds)
         pp.add_argument("-p", "--pattern", required=True)
-        pp.add_argument("-m", "--alphabet", type=int, required=True)
+        pp.add_argument("-m", "--alphabet", dest="m", type=int, required=True)
     return pp
 
 
@@ -102,14 +104,16 @@ def build_parser() -> _Parser:
     top.add_argument("--threads", type=int, default=1,
                      help="worker processes for oracle totals")
     sub = top.add_subparsers(dest="command", required=True)
+    counts = sorted(k.value for k in CountKind)
+    means = sorted(k.value for k in MeanKind)
 
     ora = sub.add_parser("oracle", help="brute-force exact counting")
     ora_sub = ora.add_subparsers(dest="subcommand", required=True)
-    oc = _leaf(ora_sub, "count", _oracle_count, sorted(_COUNT_KINDS))
+    oc = _leaf(ora_sub, "count", _oracle_count, counts)
     oc.add_argument("-w", "--word", required=True)
     for name, run in (("total", _oracle_total), ("mean", _oracle_mean)):
-        pp = _leaf(ora_sub, name, run, sorted(_COUNT_KINDS))
-        pp.add_argument("-n", "--length", type=int, required=True)
+        pp = _leaf(ora_sub, name, run, counts)
+        pp.add_argument("-n", "--length", dest="n", type=int, required=True)
         pp.add_argument("--holes", type=int)
         pp.add_argument("--budget", type=int, default=oracle.DEFAULT_WORD_BUDGET)
         if name == "mean":
@@ -117,13 +121,13 @@ def build_parser() -> _Parser:
 
     co = _leaf(sub, "coeff", _coeff, ("full", "partial", "abelian", "bivariate"),
                help="exact series coefficients")
-    co.add_argument("-n", "--index", type=int, required=True)
+    co.add_argument("-n", "--index", dest="n", type=int, required=True)
     co.add_argument("--holes", type=int)
 
-    st = _leaf(sub, "stats", _stats, sorted(_MEAN_KINDS) + ["abelian-rs"],
+    st = _leaf(sub, "stats", _stats, means + ["abelian-rs"],
                help="closed-form asymptotic means")
-    st.add_argument("-n", "--length", type=int, required=True)
-    st.add_argument("-d", "--density", type=_parse_fraction)
+    st.add_argument("-n", "--length", dest="n", type=int, required=True)
+    st.add_argument("-d", "--density", dest="d", type=_parse_fraction)
     st.add_argument("--eps", type=float, default=asymptotics.DEFAULT_ABELIAN_EPS)
 
     bo = sub.add_parser("bounds", help="forcing-length bound calculators")
@@ -133,20 +137,20 @@ def build_parser() -> _Parser:
     up.add_argument("-y", type=int, required=True)
     up.add_argument("--cap", type=int, default=bounds.DEFAULT_DIGIT_CAP)
     zu = _leaf(bo_sub, "zimin-upper", _zimin_upper)
-    zu.add_argument("-m", "--alphabet", type=int, required=True)
-    zu.add_argument("-i", "--index", type=int, required=True)
+    zu.add_argument("-m", "--alphabet", dest="m", type=int, required=True)
+    zu.add_argument("-i", "--index", dest="i", type=int, required=True)
     # the record's kind is the mode
     zu.add_argument("--mode", dest="kind", choices=("recursive", "tetration"),
                     default="recursive")
     zu.add_argument("--cap", type=int, default=bounds.DEFAULT_DIGIT_CAP)
     zl = _leaf(bo_sub, "zimin-lower", _zimin_lower)
     zl.add_argument("--kind", required=True, choices=("full", "abelian", "density"))
-    zl.add_argument("-m", "--alphabet", type=int, required=True)
-    zl.add_argument("-i", "--index", type=int, required=True)
-    zl.add_argument("-d", "--density", type=_parse_fraction)
+    zl.add_argument("-m", "--alphabet", dest="m", type=int, required=True)
+    zl.add_argument("-i", "--index", dest="i", type=int, required=True)
+    zl.add_argument("-d", "--density", dest="d", type=_parse_fraction)
     zl.add_argument("--eps", type=float, default=asymptotics.DEFAULT_ABELIAN_EPS)
-    th = _leaf(bo_sub, "threshold", _threshold, sorted(_MEAN_KINDS))
-    th.add_argument("-d", "--density", type=_parse_fraction)
+    th = _leaf(bo_sub, "threshold", _threshold, means)
+    th.add_argument("-d", "--density", dest="d", type=_parse_fraction)
     th.add_argument("--eps", type=float, default=asymptotics.DEFAULT_ABELIAN_EPS)
     et = _leaf(bo_sub, "exact-threshold", _exact_threshold,
                ("full", "abelian", "partial-collapsed"))
@@ -154,7 +158,7 @@ def build_parser() -> _Parser:
 
     se = sub.add_parser("search", help="avoiding-word search and exact forcing lengths")
     se_sub = se.add_subparsers(dest="subcommand", required=True)
-    sf = _leaf(se_sub, "find", _search_find, sorted(_COUNT_KINDS))
+    sf = _leaf(se_sub, "find", _search_find, counts)
     sf.add_argument("-n", "--length", type=int, required=True)
     sf.add_argument("--holes", type=int)
     sf.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
@@ -166,138 +170,129 @@ def build_parser() -> _Parser:
     return top
 
 
-def _oracle_count(args) -> tuple[dict, object, str]:
-    kind = _COUNT_KINDS[args.kind]
+def _oracle_count(args) -> tuple[object, str]:
+    kind = CountKind(args.kind)
     if kind in oracle.PARTIAL_KINDS:
-        w = PartialWord.from_text(args.word, args.alphabet)
+        w = PartialWord.from_text(args.word, args.m)
     else:
-        w = Word.from_text(args.word, args.alphabet)
-    result = oracle.count(kind, w, Pattern.from_text(args.pattern))
-    inputs = {"word": args.word, "pattern": args.pattern, "m": args.alphabet}
-    return inputs, result, "brute-force occurrence count"
+        w = Word.from_text(args.word, args.m)
+    return oracle.count(kind, w, Pattern.from_text(args.pattern)), "brute-force occurrence count"
 
 
-def _oracle_total(args) -> tuple[dict, object, str]:
+def _oracle_total(args) -> tuple[object, str]:
+    result = oracle.total_count(CountKind(args.kind), args.n, args.m,
+                                Pattern.from_text(args.pattern), holes=args.holes,
+                                budget=args.budget, workers=args.threads)
+    return result, "occurrence total over every word of the shape"
+
+
+def _oracle_mean(args) -> tuple[object, str]:
+    result = oracle.mean_exact(CountKind(args.kind), args.n, args.m,
+                               Pattern.from_text(args.pattern), holes=args.holes,
+                               strict=args.strict, budget=args.budget, workers=args.threads)
+    return result, "exact mean occurrence count (total / population)"
+
+
+def _coeff(args) -> tuple[object, str]:
+    if args.n < 0:
+        raise ValueError(f"coefficient index -n must be >= 0, got {args.n}")
     p = Pattern.from_text(args.pattern)
-    result = oracle.total_count(_COUNT_KINDS[args.kind], args.length, args.alphabet, p,
-                                holes=args.holes, budget=args.budget, workers=args.threads)
-    inputs = {"n": args.length, "m": args.alphabet, "pattern": args.pattern, "holes": args.holes}
-    return inputs, result, "occurrence total over every word of the shape"
-
-
-def _oracle_mean(args) -> tuple[dict, object, str]:
-    p = Pattern.from_text(args.pattern)
-    result = oracle.mean_exact(_COUNT_KINDS[args.kind], args.length, args.alphabet, p,
-                               holes=args.holes, strict=args.strict,
-                               budget=args.budget, workers=args.threads)
-    inputs = {"n": args.length, "m": args.alphabet, "pattern": args.pattern,
-              "holes": args.holes, "strict": args.strict or None}
-    return inputs, result, "exact mean occurrence count (total / population)"
-
-
-def _coeff(args) -> tuple[dict, object, str]:
-    if args.index < 0:
-        raise ValueError(f"coefficient index -n must be >= 0, got {args.index}")
-    p = Pattern.from_text(args.pattern)
-    inputs = {"pattern": args.pattern, "m": args.alphabet, "n": args.index, "holes": args.holes}
     if args.kind == "bivariate":
-        series = genfunc.ogf_bivariate(p, args.alphabet, args.index)
+        series = genfunc.ogf_bivariate(p, args.m, args.n)
         provenance = "exact coefficient of the hole-marked series"
     else:
         ser_kind = {"full": CountKind.FULL, "partial": CountKind.PARTIAL_COLLAPSED,
                     "abelian": CountKind.ABELIAN}[args.kind]
-        series = genfunc.ogf_build(ser_kind, p, args.alphabet, args.index)
+        series = genfunc.ogf_build(ser_kind, p, args.m, args.n)
         provenance = "exact coefficient of the occurrence-total series"
-    value = genfunc.coeff(series, args.index, args.holes)
-    return inputs, value, provenance
+    return genfunc.coeff(series, args.n, args.holes), provenance
 
 
-def _stats(args) -> tuple[dict, object, str]:
+def _stats(args) -> tuple[object, str]:
     p = Pattern.from_text(args.pattern)
-    inputs = {"pattern": args.pattern, "m": args.alphabet, "n": args.length, "d": args.density}
     if args.kind == "abelian-rs":
-        if args.density is not None:
+        if args.d is not None:
             raise ValueError("abelian-rs takes no density")
-        value = asymptotics.abelian_rs_approx_mean(p, args.alphabet, args.length)
-        return inputs, value, "abelian mean via the large-block envelope"
-    mean = asymptotics.mean_asymptotic(_MEAN_KINDS[args.kind], p, args.alphabet,
-                                       args.length, d=args.density, eps=args.eps)
-    return inputs, mean.value, "closed-form leading-term mean occurrence count"
+        value = asymptotics.abelian_rs_approx_mean(p, args.m, args.n)
+        return value, "abelian mean via the large-block envelope"
+    mean = asymptotics.mean_asymptotic(MeanKind(args.kind), p, args.m, args.n, d=args.d,
+                                       eps=args.eps)
+    return mean.value, "closed-form leading-term mean occurrence count"
 
 
-def _uparrow(args) -> tuple[dict, object, str]:
-    value = bounds.double_uparrow(args.x, args.y, args.cap)
-    return {"x": args.x, "y": args.y, "cap": args.cap}, value, "iterated exponentiation"
+def _uparrow(args) -> tuple[object, str]:
+    return bounds.double_uparrow(args.x, args.y, args.cap), "iterated exponentiation"
 
 
-def _zimin_upper(args) -> tuple[dict, object, str]:
-    value = bounds.zimin_upper(args.alphabet, args.index, args.kind, args.cap)
-    inputs = {"m": args.alphabet, "i": args.index, "mode": args.kind}
-    return inputs, value, "upper bound on the Zimin forcing length"
+def _zimin_upper(args) -> tuple[object, str]:
+    value = bounds.zimin_upper(args.m, args.i, args.kind, args.cap)
+    return value, "upper bound on the Zimin forcing length"
 
 
-def _zimin_lower(args) -> tuple[dict, object, str]:
-    value = bounds.zimin_lower(_MEAN_KINDS[args.kind], args.alphabet, args.index,
-                               d=args.density, eps=args.eps)
-    inputs = {"m": args.alphabet, "i": args.index, "d": args.density}
-    return inputs, value, "first-moment lower bound on the Zimin forcing length"
+def _zimin_lower(args) -> tuple[object, str]:
+    value = bounds.zimin_lower(MeanKind(args.kind), args.m, args.i, d=args.d, eps=args.eps)
+    return value, "first-moment lower bound on the Zimin forcing length"
 
 
-def _threshold(args) -> tuple[dict, object, str]:
-    p = Pattern.from_text(args.pattern)
-    value = bounds.avoidance_threshold(_MEAN_KINDS[args.kind], p, args.alphabet,
-                                       d=args.density, eps=args.eps)
-    inputs = {"pattern": args.pattern, "m": args.alphabet, "d": args.density}
-    return inputs, value, "first-moment avoidance length bound"
+def _threshold(args) -> tuple[object, str]:
+    value = bounds.avoidance_threshold(MeanKind(args.kind), Pattern.from_text(args.pattern),
+                                       args.m, d=args.d, eps=args.eps)
+    return value, "first-moment avoidance length bound"
 
 
-def _exact_threshold(args) -> tuple[dict, object, str]:
-    p = Pattern.from_text(args.pattern)
-    value = bounds.exact_avoidance_threshold(_COUNT_KINDS[args.kind], p, args.alphabet,
+def _exact_threshold(args) -> tuple[object, str]:
+    value = bounds.exact_avoidance_threshold(CountKind(args.kind),
+                                             Pattern.from_text(args.pattern), args.m,
                                              args.n_max)
-    inputs = {"pattern": args.pattern, "m": args.alphabet, "n_max": args.n_max}
-    return inputs, value, "largest length with exact mean occurrence count below 1"
+    return value, "largest length with exact mean occurrence count below 1"
 
 
-def _search_find(args) -> tuple[dict, object, str]:
-    p = Pattern.from_text(args.pattern)
-    outcome = search.find_avoiding(_COUNT_KINDS[args.kind], p, args.alphabet, args.length,
-                                   holes=args.holes, budget=args.budget)
+def _search_find(args) -> tuple[object, str]:
+    outcome = search.find_avoiding(CountKind(args.kind), Pattern.from_text(args.pattern),
+                                   args.m, args.length, holes=args.holes, budget=args.budget)
     witness = None
     if outcome.status is SearchStatus.FOUND:
         w = outcome.witness
-        if args.alphabet <= 26:
+        if args.m <= 26:
             witness = w.to_text()
         else:
             witness = list(w.chars if isinstance(w, PartialWord) else w.letters)
     result = {"status": outcome.status.value, "witness": witness, "nodes": outcome.nodes}
-    inputs = {"pattern": args.pattern, "m": args.alphabet, "length": args.length,
-              "holes": args.holes}
-    return inputs, result, "backtracking avoiding-word search, oracle-verified"
+    return result, "backtracking avoiding-word search, oracle-verified"
 
 
-def _search_ramsey(args) -> tuple[dict, object, str]:
-    p = Pattern.from_text(args.pattern)
-    length = search.exact_ramsey_length(_COUNT_KINDS[args.kind], p, args.alphabet,
-                                        args.n_max, args.budget)
-    inputs = {"pattern": args.pattern, "m": args.alphabet, "n_max": args.n_max}
+def _search_ramsey(args) -> tuple[object, str]:
+    length = search.exact_ramsey_length(CountKind(args.kind), Pattern.from_text(args.pattern),
+                                        args.m, args.n_max, args.budget)
     result = {"ramsey_length": length, "searched_up_to": args.n_max}
-    return inputs, result, "exact forcing length by exhaustive search"
+    return result, "exact forcing length by exhaustive search"
 
 
-def _reproduce(args) -> tuple[dict, object, str]:
-    return {}, reproduce_report(), "bundled reference values vs recomputed values"
+def _reproduce(args) -> tuple[object, str]:
+    return reproduce_report(), "bundled reference values vs recomputed values"
+
+
+# parsed values that are not inputs: the record's command and kind, the
+# handler, the global output and worker options, and the work limits
+_NOT_INPUTS = {"command", "subcommand", "kind", "run", "format", "threads", "budget", "eps"}
+
+
+def _warn(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        inputs, result, provenance = args.run(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn
+            args = build_parser().parse_args(argv)
+            result, provenance = args.run(args)
         record = {
             "command": " ".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
             "kind": getattr(args, "kind", None),
             "inputs": {k: str(v) if isinstance(v, Fraction) else v
-                       for k, v in inputs.items() if v is not None},
+                       for k, v in vars(args).items()
+                       if k not in _NOT_INPUTS and v is not None and v is not False},
             "result": _format_value(result),
             "provenance": provenance,
         }

@@ -132,21 +132,22 @@ def _plan(syms: tuple[int, ...], kind: CountKind) -> list[tuple | None]:
     return steps
 
 
-def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
+def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int, anchored: bool = False):
     """The occurrence walk shared by the oracle and the search, bound to a
     buffer of n positions.
 
     Returns (put, take, occurrences).  The buffer fills from its right end:
     put(c) places c left of the filled positions and take() empties the
-    leftmost filled one.  occurrences(pos, anchored=False) walks from a filled
-    start pos and reads only positions pos..n-1.  Count mode: the number of
-    occurrences that start at pos, each PARTIAL_MORPHISM occurrence weighted by
-    m per all-hole coordinate; the count of the filled word is the sum over its
-    starts.  Anchored mode: 1 if some occurrence starts at pos, else 0, stopped
-    at the first one; the two partial conventions agree there, every weight
-    being at least 1.  A traversal keeps a word w reversed in the buffer, w[i]
-    at position n - 1 - i, so it extends the prefix by one put and backs it up
-    by one take, and the walk from n - d reads only the prefix w[:d].
+    leftmost filled one.  occurrences(pos) walks from a filled start pos and
+    reads only positions pos..n-1, in the mode fixed when the walker is built.
+    Count mode (the default): the number of occurrences that start at pos,
+    each PARTIAL_MORPHISM occurrence weighted by m per all-hole coordinate;
+    the count of the filled word is the sum over its starts.  Anchored mode:
+    1 if some occurrence starts at pos, else 0, stopped at the first one; the
+    two partial conventions agree there, every weight being at least 1.  A
+    traversal keeps a word w reversed in the buffer, w[i] at position
+    n - 1 - i, so it extends the prefix by one put and backs it up by one
+    take, and the walk from n - d reads only the prefix w[:d].
 
     What the pattern alone fixes is prepared once per walker: the step table
     of _plan, the walk and the weight, and the arrays of block starts, lengths
@@ -211,8 +212,7 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
     unit = [(1 << n.bit_length()) ** c for c in range(m)]
     windows = {}  # ABELIAN, per block length: [starts by histogram, the leftmost grouped]
     lo, holes = n, 0
-    weighs = bool(groups)  # count mode weighs each occurrence
-    stop = weighted = False
+    weighted = bool(groups) and not anchored  # count mode weighs each occurrence
 
     def weight() -> int:
         w = 1
@@ -223,8 +223,9 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
             w *= m ** free.bit_count()
         return w
 
-    def walk(idx: int, pos: int, fixed: int) -> int:
-        """Occurrences whose block idx, a fresh variable's first, starts at pos."""
+    def walk(pos: int, idx: int = 0, fixed: int = 0) -> int:
+        """Occurrences whose block idx, a fresh variable's first, starts at
+        pos; at the default idx 0, every occurrence that starts at pos."""
         c, free, after, grow, placed, bound, nxt, last = steps[idx]
         at[idx] = pos
         top = (n - pos - fixed - free) // c
@@ -250,7 +251,7 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
                 x = match[after]
             x = (x >> (pos + 1)) & ((1 << top) - 1)
         if last and not weighted:  # each length left to try is one occurrence
-            if stop:
+            if anchored:
                 return 1 if x else 0
             total = 0
             while x:
@@ -295,17 +296,11 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
                 at[i] = p
                 p, f = p + step, f - step
             else:
-                found = walk(nxt, p, f) if nxt < k else weight() if weighted else 1
-                if found and stop:
+                found = walk(p, nxt, f) if nxt < k else weight() if weighted else 1
+                if found and anchored:
                     return 1
                 total += found
         return total
-
-    def occurrences(pos: int, anchored: bool = False) -> int:
-        nonlocal stop, weighted
-        stop = anchored
-        weighted = weighs and not anchored
-        return walk(0, pos, 0)
 
     if abelian:
         def put(c: int) -> None:
@@ -321,7 +316,7 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
                 if group[1] == q and q + copy <= n:
                     group[0][suf[q] - suf[q + copy]] ^= 1 << q
                     group[1] = lo
-        return put, take, occurrences
+        return put, take, walk
 
     def put(c: int) -> None:
         nonlocal lo, holes
@@ -346,7 +341,7 @@ def _walker(kind: CountKind, m: int, syms: tuple[int, ...], n: int):
                 masks[x] ^= bit
         else:
             masks[c] ^= bit
-    return put, take, occurrences
+    return put, take, walk
 
 
 def count_full(w: Word, p: Pattern) -> int:

@@ -56,7 +56,7 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
     _check_shape(kind, length, m, holes)
     if budget < 1:
         raise ValueError("budget must allow at least one node")
-    put, take, occurrences = _walker(kind, m, syms[::-1], length)
+    put, take, occurrences = _walker(kind, m, syms[::-1], length, anchored=True)
     chars = [HOLE] * length
     nodes = deepest = 0
     prefixes = _prefixes(kind, m, holes, chars, put, take)
@@ -67,10 +67,10 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
                                       needed=nodes, budget=budget)
         if depth == length:
             put(chars[-1])
-            if not occurrences(0, True):
+            if not occurrences(0):
                 return SearchStatus.FOUND, chars, nodes, length
             take()
-        elif occurrences(length - depth, True):
+        elif occurrences(length - depth):
             prefixes.send(True)
         elif depth > deepest:
             deepest = depth

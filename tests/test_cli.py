@@ -248,16 +248,17 @@ def test_reproduce_emits_all_lines_and_exit_reflects_tolerances(capsys):
     assert "count-full-ones8-aba" in names
 
 # One cheap argv per leaf command: each record's fields other than its result,
-# so a handler wired to the wrong command shows.
+# so a handler wired to the wrong command shows.  The inputs are the command's
+# own options in the order they are declared, so their order is checked too.
 RECORD_CASES = [
     ("oracle count --kind partial-morphism -w a.b -p aa -m 2", 0, "oracle count",
-     "partial-morphism", {"word": "a.b", "pattern": "aa", "m": 2},
+     "partial-morphism", {"pattern": "aa", "m": 2, "word": "a.b"},
      "brute-force occurrence count"),
     ("oracle total --kind partial-collapsed -p aa -m 2 -n 3 --holes 1", 0, "oracle total",
-     "partial-collapsed", {"n": 3, "m": 2, "pattern": "aa", "holes": 1},
+     "partial-collapsed", {"pattern": "aa", "m": 2, "n": 3, "holes": 1},
      "occurrence total over every word of the shape"),
     ("oracle mean --kind partial-collapsed -p aa -m 2 -n 2 --strict", 0, "oracle mean",
-     "partial-collapsed", {"n": 2, "m": 2, "pattern": "aa", "strict": True},
+     "partial-collapsed", {"pattern": "aa", "m": 2, "n": 2, "strict": True},
      "exact mean occurrence count (total / population)"),
     ("coeff --kind bivariate -p aa -m 2 -n 2 --holes 1", 0, "coeff", "bivariate",
      {"pattern": "aa", "m": 2, "n": 2, "holes": 1},
@@ -267,8 +268,9 @@ RECORD_CASES = [
      "closed-form leading-term mean occurrence count"),
     ("bounds uparrow -x 2 -y 3 --cap 5", 0, "bounds uparrow", None,
      {"x": 2, "y": 3, "cap": 5}, "iterated exponentiation"),
+    # --mode is the record's kind
     ("bounds zimin-upper -m 2 -i 3 --mode tetration --cap 10", 0, "bounds zimin-upper",
-     "tetration", {"m": 2, "i": 3, "mode": "tetration"},
+     "tetration", {"m": 2, "i": 3, "cap": 10},
      "upper bound on the Zimin forcing length"),
     ("bounds zimin-lower --kind density -m 3 -i 2 -d 1/3", 0, "bounds zimin-lower",
      "density", {"m": 3, "i": 2, "d": "1/3"},
@@ -284,19 +286,40 @@ RECORD_CASES = [
     ("search ramsey --kind abelian -p aa -m 2 --n-max 6", 0, "search ramsey", "abelian",
      {"pattern": "aa", "m": 2, "n_max": 6}, "exact forcing length by exhaustive search"),
     ("reproduce", 2, "reproduce", None, {}, "bundled reference values vs recomputed values"),
+    # the work limits and a flag not given are left out
+    pytest.param("search find --kind full -p aba -m 2 -n 4 --budget 50", 0, "search find",
+                 "full", {"pattern": "aba", "m": 2, "length": 4},
+                 "backtracking avoiding-word search, oracle-verified", id="search-find-budget"),
+    pytest.param("stats --kind abelian -p aa -m 12 -n 10 --eps 1e-6", 0, "stats", "abelian",
+                 {"pattern": "aa", "m": 12, "n": 10},
+                 "closed-form leading-term mean occurrence count", id="stats-eps"),
+    pytest.param("oracle mean --kind partial-collapsed -p aa -m 2 -n 2", 0, "oracle mean",
+                 "partial-collapsed", {"pattern": "aa", "m": 2, "n": 2},
+                 "exact mean occurrence count (total / population)", id="oracle-mean-not-strict"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, command, kind, inputs, provenance", RECORD_CASES,
-                         ids=[case[0].split(" -")[0].replace(" ", "-") for case in RECORD_CASES])
+                         ids=[getattr(case, "id", None) or case[0].split(" -")[0].replace(" ", "-")
+                              for case in RECORD_CASES])
 def test_each_command_records_its_own_fields(capsys, argv, code, command, kind, inputs,
                                              provenance):
     got, out, err = run(capsys, *argv.split())
     assert got == code, err
     record = json.loads(out)
     assert set(record) == REQUIRED_FIELDS
-    assert (record["command"], record["kind"], record["inputs"], record["provenance"]) \
-        == (command, kind, inputs, provenance)
+    assert (record["command"], record["kind"], list(record["inputs"].items()),
+            record["provenance"]) == (command, kind, list(inputs.items()), provenance)
+
+
+def test_library_warning_prints_as_one_line(capsys):
+    # n*d = 10/3 holes: the mean is still printed, with the library's warning
+    # as one line on stderr
+    code, out, err = run(capsys, "stats", "--kind", "density", "-p", "aa", "-m", "3",
+                         "-n", "10", "-d", "1/3")
+    assert code == 0
+    assert json.loads(out)["inputs"] == {"pattern": "aa", "m": 3, "n": 10, "d": "1/3"}
+    assert err == "warning: n*d = 10/3 is not an integer hole count\n"
 
 
 @pytest.mark.parametrize("argv", [

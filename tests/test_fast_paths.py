@@ -558,9 +558,9 @@ def _reference_closes(chars, end, syms, m, kind):
                for lo in range(end - len(syms) + 2))
 
 
-def _filled(kind, m, syms, chars):
+def _filled(kind, m, syms, chars, anchored=False):
     """The walk of a fresh kernel with every position of chars put."""
-    put, _, occurrences = _walker(kind, m, syms, len(chars))
+    put, _, occurrences = _walker(kind, m, syms, len(chars), anchored)
     for c in reversed(chars):
         put(c)
     return occurrences
@@ -574,7 +574,7 @@ def _kernel_count(kind, m, syms, chars):
 def _kernel_closes(kind, m, syms, chars):
     """Whether the last position of chars closes an occurrence, as the search
     asks it: the reversed pattern anchored at the start of the reversed word."""
-    return _filled(kind, m, syms[::-1], chars[::-1])(0, True)
+    return _filled(kind, m, syms[::-1], chars[::-1], anchored=True)(0)
 
 
 # aaa reaches a third block (the partial kinds check it against the second
@@ -627,10 +627,10 @@ def test_closes_occurrence_matches_replaced_matcher_at_every_end(kind, length, t
     rng = random.Random(f"{kind.value} {text}")
     alphabet = [0, 1, HOLE] if kind in PARTIAL_KINDS else [0, 1]
     chars = [rng.choice(alphabet) for _ in range(length)]
-    put, _, occurrences = _walker(kind, 2, syms[::-1], length)
+    put, _, occurrences = _walker(kind, 2, syms[::-1], length, anchored=True)
     for end in range(length):
         put(chars[end])
-        assert occurrences(length - end - 1, True) == \
+        assert occurrences(length - end - 1) == \
             _reference_closes(chars, end, syms, 2, kind), end
 
 
@@ -652,29 +652,30 @@ def _fills_and_takes(rng, alphabet, n):
 @pytest.mark.parametrize("kind", list(CountKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("text", KERNEL_PATTERNS)
 def test_one_walker_answers_a_sequence_of_words_as_fresh_walkers_do(kind, text):
-    # one kernel follows random runs of puts and takes at its low end, as the
-    # traversals move it; after each step the count from every filled start
-    # and the anchored answer at every filled start are those of a fresh
-    # kernel with the same characters put, so stale letter masks, suffix sums,
-    # conflict masks or grouped ABELIAN windows would show.  Every start is
-    # walked at each step, so windows are grouped at many low ends before a
-    # take passes them
+    # one kernel per mode follows random runs of puts and takes at its low
+    # end, as the traversals move it; after each step the count from every
+    # filled start and the anchored answer at every filled start are those of
+    # a fresh kernel of that mode with the same characters put, so stale
+    # letter masks, suffix sums, conflict masks or grouped ABELIAN windows
+    # would show.  Every start is walked at each step, so windows are grouped
+    # at many low ends before a take passes them
     syms = Pattern.from_text(text).symbols
     n = 12
     for m in (1, 2, 3):
         rng = random.Random(f"{kind.value} {text} {m}")
         alphabet = list(range(m)) + ([HOLE] if kind in PARTIAL_KINDS else [])
-        put, take, occurrences = _walker(kind, m, syms, n)
+        modes = (False, True)
+        walkers = [_walker(kind, m, syms, n, anchored) for anchored in modes]
         for step, filled in _fills_and_takes(rng, alphabet, n):
-            if step == "put":
-                put(filled[0])
-            else:
-                take()
-            fresh = _filled(kind, m, syms, filled)
             lo = n - len(filled)
-            for pos in range(len(filled)):
-                assert occurrences(lo + pos) == fresh(pos), (m, filled, pos)
-                assert occurrences(lo + pos, True) == fresh(pos, True), (m, filled, pos)
+            for anchored, (put, take, occurrences) in zip(modes, walkers):
+                if step == "put":
+                    put(filled[0])
+                else:
+                    take()
+                fresh = _filled(kind, m, syms, filled, anchored)
+                for pos in range(len(filled)):
+                    assert occurrences(lo + pos) == fresh(pos), (m, filled, pos, anchored)
 
 
 def _first_occurrence_form(chars):

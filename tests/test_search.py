@@ -195,10 +195,10 @@ def _closing_ends(kind, m, p, chars):
     kernel for the reversed pattern, and an anchored walk from its first
     character."""
     n = len(chars)
-    put, _, occurrences = _walker(kind, m, p.symbols[::-1], n)
+    put, _, occurrences = _walker(kind, m, p.symbols[::-1], n, anchored=True)
     for end, c in enumerate(chars):
         put(c)
-        yield occurrences(n - end - 1, True)
+        yield occurrences(n - end - 1)
 
 
 @st.composite
@@ -243,13 +243,13 @@ def test_search_builds_the_kernel_once(monkeypatch):
     # kernel is built once per search, not once per node
     builds, calls = [], []
 
-    def counted_walker(*args):
+    def counted_walker(*args, **kwargs):
         builds.append(args)
-        put, take, occurrences = _walker(*args)
+        put, take, occurrences = _walker(*args, **kwargs)
 
-        def counted(*call):
-            calls.append(call)
-            return occurrences(*call)
+        def counted(pos):
+            calls.append(pos)
+            return occurrences(pos)
         return put, take, counted
 
     monkeypatch.setattr(search, "_walker", counted_walker)
