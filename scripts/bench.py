@@ -29,7 +29,9 @@ though not in the ratio of the two sides' seconds.  A pool row's workers are
 forked from this interpreter and inherit both packages.
 
 A row records its inputs, a hash of the result (so the two sides can be seen
-to give the same answer) and a work counter.  Rows that print a leading-term
+to give the same answer) and a work counter, and the comparison reports
+whether the two sides' counters are equal (nodes searched, words of the
+shape, terms summed and the like).  Rows that print a leading-term
 mean carry the printed floats instead, and the comparison reports their
 relative difference: a mean is a float evaluation, and the same value computed
 in another order may differ in its last bits.  So do the abelian constants with
@@ -306,6 +308,7 @@ def compare(before: str, after: str) -> dict:
         row = {"name": a["name"], "layer": a["layer"]}
         if a["result_sha256"]:
             row["same_result"] = a["result_sha256"] == b["result_sha256"]
+        row["same_work"] = a["work"] == b["work"]
         if "values" in a and "values" in b:
             row["relative_difference"] = max(
                 (abs(y - x) / abs(x) for x, y in zip(a["values"], b["values"], strict=True)),
@@ -322,8 +325,9 @@ def compare(before: str, after: str) -> dict:
                       f" of one sample per side of about {SAMPLE} s (calls per sample from a first"
                       " call), first side alternating, a garbage collection before each sample;"
                       " seconds the median sample, speedup the median ratio of a round's two"
-                      " with the quartiles of those ratios; rows that print a leading-term mean"
-                      " report the relative difference of the printed floats",
+                      " with the quartiles of those ratios; same_work compares the sides' work"
+                      " counters; rows that print a leading-term mean report the relative"
+                      " difference of the printed floats",
             "machine": {"python": platform.python_version(), "platform": platform.platform(),
                         "nproc": os.cpu_count()},
             "rows": rows}

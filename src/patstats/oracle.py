@@ -56,14 +56,15 @@ the reverse of every word in the orbit of w has the count of the reverse of
 w.  So the weighted sum of the counts of the reversed words is the total,
 whether p reads the same reversed or not; the weight and the mirror test still
 read w itself.  The words come from one depth-first traversal of their
-prefixes, _prefixes, which the search makes too: the kernel holds w reversed,
-w[i] at position n - 1 - i, so a prefix puts one letter and backing up takes
-it, and the walk from position n - d reads only the prefix w[:d].  The count
-of w is the sum of the walks of the prefixes on its path, and each prefix is
-walked once, when the first word under it that is walked arrives.  A caller
-prunes a prefix through the traversal: the search each one that closes an
-occurrence, and a worker of a split total each prefix at depth ceil(n / 2)
-that is not dealt to it (see _dealt_total).
+prefixes, _prefixes, which the search makes too: the kernel holds each
+prefix of w reversed, w itself included, w[i] at position n - 1 - i, so a
+prefix puts one letter and backing up takes it, and the walk from position
+n - d reads only the prefix w[:d].  The count of w is the sum of the walks of
+the prefixes on its path, and each prefix is walked once, when the first word
+under it that is walked arrives.  A caller prunes a prefix through the
+traversal: the search each one that closes an occurrence, and a worker of a
+split total each prefix at depth ceil(n / 2) that is not dealt to it (see
+_dealt_total).
 """
 
 from __future__ import annotations
@@ -426,12 +427,12 @@ def _prefixes(kind: CountKind, m: int, holes: int | None, chars: list[int], put,
     one past the largest so far), and on partial words the hole, unless the
     holes left to place are 0 or the number of positions left, which then
     all take it.  A caller prunes a prefix, so that none of its extensions is
-    yielded, by sending a true value at it; the send returns None.  The
-    kernel follows the traversal: a prefix's last character is put before
-    the prefix is yielded and taken when the traversal backs up past it, so
-    the kernel holds chars[:d] at a yield of d < n.  At d = n it holds
-    chars[:n - 1]: the last character of a word is left to the caller to put
-    and take, as the totals walk only some of the words."""
+    yielded, by sending a true value at it; the send returns None, and at a
+    full-length word, which has no extensions, it changes nothing.  The
+    kernel follows the traversal: each character is put before its prefix is
+    yielded and taken when the prefix is pruned, is a whole word or has
+    yielded all its extensions, so the kernel holds chars[:d] at every yield
+    of d."""
     n = len(chars)
     partial_kind = kind in PARTIAL_KINDS
     # per depth d: the untried candidates for chars[d], the least last, the
@@ -446,13 +447,7 @@ def _prefixes(kind: CountKind, m: int, holes: int | None, chars: list[int], put,
             untried = [HOLE]
         elif partial_kind and due != 0:
             untried.insert(0, HOLE)
-        if depth < n - 1:
-            stack[depth], tops[depth], dues[depth] = untried, top, due
-        else:
-            for c in reversed(untried):
-                chars[depth] = c
-                if (yield n, c if c > top else top):
-                    yield  # the value of send
+        stack[depth], tops[depth], dues[depth] = untried, top, due
         while True:
             while not stack[depth]:  # every candidate here is spent: back up
                 if not depth:
@@ -467,9 +462,10 @@ def _prefixes(kind: CountKind, m: int, holes: int | None, chars: list[int], put,
                 top = c
             elif c == HOLE and due is not None:
                 due -= 1
-            if not (yield depth + 1, top):
+            if (yield depth + 1, top):
+                yield  # the value of send
+            elif depth < n - 1:
                 break
-            yield  # the value of send
             take()
         depth += 1
 
@@ -487,7 +483,7 @@ def _dealt_total(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
     weights = [perm(m, j) for j in range(min(m, n) + 1)]  # by distinct letters
     mirror = not _mirror_order(syms)  # syms is in first-occurrence form
     chars = [HOLE] * n
-    sums = [0] * n  # sums[d]: the walks of the prefixes at depths 1..d
+    sums = [0] * (n + 1)  # sums[d]: the walks of the prefixes at depths 1..d
     walked = 0  # sums[:walked + 1] hold for chars
     deal, turns = (n + 1) // 2, cycle(range(workers))
     total = 0
@@ -496,19 +492,17 @@ def _dealt_total(kind: CountKind, n: int, m: int, syms: tuple[int, ...],
         if depth == deal and next(turns) != worker:
             prefixes.send(True)
             continue
+        if walked >= depth:
+            walked = depth - 1
         if depth < n:
-            if walked >= depth:
-                walked = depth - 1
             continue
         order = _mirror_order(chars) if mirror else 0
         if order >= 0:
-            put(chars[-1])
-            for d in range(walked + 1, n):
+            for d in range(walked + 1, n + 1):
                 sums[d] = sums[d - 1] + occurrences(n - d)
-            walked = n - 1
+            walked = n
             weight = weights[top + 1]  # HOLE is -1
-            total += (2 * weight if order else weight) * (sums[-1] + occurrences(0))
-            take()
+            total += (2 * weight if order else weight) * sums[n]
     return total
 
 

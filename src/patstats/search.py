@@ -10,8 +10,9 @@ for the reversed pattern, built once per search, finds in anchored mode.  The
 search is the oracle's traversal of the prefixes in first-occurrence form,
 the one its totals make (`oracle._prefixes`): the kernel follows it one
 character at a time, so no node rebuilds the state of the whole prefix, and
-the search prunes each prefix that closes an occurrence.  Found witnesses are
-re-verified against the oracle's count before return.
+the search prunes each prefix that closes an occurrence; the first word of
+full length that closes none is the witness.  Found witnesses are re-verified
+against the oracle's count before return.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
     nodes counts the characters tried and deepest is the length of the longest
     avoiding prefix reached.  Raises BudgetExceededError at the node past the
     budget.  The prefixes come from oracle._prefixes, a loop, so nothing but
-    the node budget limits the length.  The kernel holds the prefix reversed
-    at the right end of a buffer of `length` positions; the traversal puts
-    and takes each character but the last of a full-length word, which the
-    search puts to check it.
+    the node budget limits the length.  The traversal keeps each prefix
+    reversed at the right end of the kernel's buffer of `length` positions.
+    A prefix that closes an occurrence is pruned, whatever its length, and
+    the first full-length one that closes none is the witness.
     """
     _check_shape(kind, length, m, holes)
     if budget < 1:
@@ -65,13 +66,10 @@ def _search(kind: CountKind, syms: tuple[int, ...], m: int, length: int,
         if nodes > budget:
             raise BudgetExceededError(f"search exceeded {budget} nodes",
                                       needed=nodes, budget=budget)
-        if depth == length:
-            put(chars[-1])
-            if not occurrences(0):
-                return SearchStatus.FOUND, chars, nodes, length
-            take()
-        elif occurrences(length - depth):
+        if occurrences(length - depth):
             prefixes.send(True)
+        elif depth == length:
+            return SearchStatus.FOUND, chars, nodes, length
         elif depth > deepest:
             deepest = depth
     return SearchStatus.EXHAUSTED, chars, nodes, deepest

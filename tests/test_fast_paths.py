@@ -708,13 +708,13 @@ def test_mirror_order_matches_reversed_first_occurrence_form(kind, n, m):
 def _traversal(kind, m, n, holes, pruned=lambda prefix: False):
     """The prefixes oracle._prefixes yields, sending a true value at each one
     pruned flags, with a list standing in for the kernel: at each yield it
-    must hold the prefix, less the last character of a full-length word."""
+    must hold the prefix, a full-length word included."""
     chars, kernel = [HOLE] * n, []
     prefixes = oracle._prefixes(kind, m, holes, chars, kernel.append, kernel.pop)
     seen = []
     for depth, top in prefixes:
         prefix = tuple(chars[:depth])
-        assert kernel == list(prefix[:min(depth, n - 1)]), prefix
+        assert kernel == list(prefix), prefix
         assert top == max(prefix), prefix
         seen.append(prefix)
         if pruned(prefix):
@@ -755,7 +755,8 @@ def test_traversal_yields_each_first_occurrence_prefix_once(kind, m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_symmetric_total_matches_unreduced_sum(monkeypatch, kind, text, m):
     # aab and aaba do not read the same reversed up to renaming; abcab does.
-    # One word walked per worker, so these small totals still split into strides
+    # One word walked per worker, so these small totals are still dealt to the
+    # workers as subtrees at depth ceil(n / 2)
     monkeypatch.setattr(oracle, "_WALKED_PER_WORKER", 1)
     n = 5
     syms = Pattern.from_text(text).symbols
@@ -786,14 +787,15 @@ class _InlinePool:
         return map(fn, *iterables)
 
 
-def _pool_sizes(monkeypatch, cpus, kind, n, m, holes, workers, walked_per_worker=1):
-    """The pool sizes one total starts on a host with the given CPU count, after
-    checking that total against the in-process one."""
+def _pool_sizes(monkeypatch, cpus, kind, n, m, holes, workers, walked_per_worker=1,
+                text="aba"):
+    """The pool sizes one total of the pattern text starts on a host with the
+    given CPU count, after checking that total against the in-process one."""
     monkeypatch.setattr(oracle, "_WALKED_PER_WORKER", walked_per_worker)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    p = Pattern.from_text("aba")
+    p = Pattern.from_text(text)
     expected = total_count(kind, n, m, p, holes=holes)
     assert total_count(kind, n, m, p, holes=holes, workers=workers) == expected
     return _InlinePool.sizes
@@ -839,10 +841,62 @@ def test_worker_pool_starts_only_where_it_pays(monkeypatch, n, m, sizes):
                        oracle._WALKED_PER_WORKER) == sizes
 
 
-# Outcomes of the benchmark's search questions, pinned to what the replaced
-# walker produced: (kind, pattern, m, length, holes) -> (status, witness, nodes).
-# The partial node count is about half of it (1,411) since the search tries
-# only words in first-occurrence form.
+# Walks of one total, (kind, pattern, n, m, holes) -> the prefixes walked.  aab
+# does not read the same reversed, so no word is skipped and each of its
+# 2^10 - 1 prefixes in first-occurrence form is walked.
+WALK_PINS = {
+    ("full", "aba", 10, 2, None): 713,
+    ("abelian", "aba", 9, 2, None): 356,
+    ("partial-collapsed", "abba", 8, 2, 3): 955,
+    ("partial-morphism", "abba", 7, 2, None): 1034,
+    ("full", "aab", 10, 2, None): 1023,
+}
+
+
+@pytest.mark.parametrize("question", sorted(WALK_PINS, key=str), ids=str)
+def test_total_walks_each_prefix_at_most_once(monkeypatch, question):
+    # a total builds one kernel, one per worker when it is split, and walks
+    # each prefix at most once; a walk from pos is recorded as the prefix it
+    # reads, the first n - pos characters put, which the wrapped put and take
+    # keep track of
+    kind, text, n, m, holes = question
+    kind = CountKind(kind)
+    builds, walked = [], []
+
+    def counted_walker(*args, **kwargs):
+        builds.append(args)
+        put, take, occurrences = _walker(*args, **kwargs)
+        held = []
+
+        def counted_put(c):
+            held.append(c)
+            put(c)
+
+        def counted_take():
+            held.pop()
+            take()
+
+        def counted(pos):
+            walked.append(tuple(held[:n - pos]))
+            return occurrences(pos)
+        return counted_put, counted_take, counted
+
+    monkeypatch.setattr(oracle, "_walker", counted_walker)
+    total_count(kind, n, m, Pattern.from_text(text), holes=holes)
+    assert (len(builds), len(walked)) == (1, WALK_PINS[question])
+    assert len(set(walked)) == len(walked)
+    assert set(walked) <= set(_traversal(kind, m, n, holes))
+    for workers in (2, 3):
+        builds.clear()
+        assert _pool_sizes(monkeypatch, 8, kind, n, m, holes, workers, text=text) == [workers]
+        assert len(builds) == 1 + workers  # the in-process total, then one per worker
+
+
+# Outcomes of search questions, (kind, pattern, m, length, holes) -> (status,
+# witness, nodes): first the benchmark's, pinned to what the replaced walker
+# produced (the partial node count is about half of it, 1,411, since the search
+# tries only words in first-occurrence form), then exhausted searches whose
+# full-length words are all pruned.
 SEARCH_PINS = {
     ("full", "abab", 3, 50, None):
         ("found", "aaabaaacaaabaacaaacbaaabaacaaabaaacaaabbaaabaacaaa", 73),
@@ -850,6 +904,12 @@ SEARCH_PINS = {
     ("full", "aa", 3, 40, None): ("found", "abacabcacbabcabacabcacbacabacbabcabacabc", 82),
     ("abelian", "aa", 4, 30, None): ("found", "abacabadabacbabdbabcbdcacbabda", 82),
     ("partial-collapsed", "aa", 3, 14, 1): ("exhausted", None, 707),
+    ("full", "aba", 2, 5, None): ("exhausted", None, 13),
+    ("full", "aa", 2, 4, None): ("exhausted", None, 7),
+    ("full", "abab", 2, 19, None): ("exhausted", None, 477),
+    ("abelian", "aa", 3, 8, None): ("exhausted", None, 60),
+    ("partial-collapsed", "aa", 2, 4, 1): ("exhausted", None, 10),
+    ("partial-morphism", "aba", 2, 5, 0): ("exhausted", None, 13),
 }
 RAMSEY_PINS = {("full", "aba", 2, 10): 5, ("full", "aba", 3, 12): 7,
                ("abelian", "aa", 3, 12): 8, ("full", "abab", 2, 25): 19}
