@@ -4,9 +4,10 @@ Lower bounds come from the first-moment method: when the mean occurrence count
 over a population is below 1, some member has none, so avoiding words exist up
 to (roughly) the length where the mean crosses 1.  The asymptotic thresholds
 drop the vanishing corrections and are heuristic; exact_avoidance_threshold is
-the rigorous counterpart built on exact series coefficients.  Upper bounds for
-the Zimin patterns use the classical doubling recursion and its tetration
-envelope, with graceful overflow marking past a configurable digit cap.
+the rigorous counterpart built on exact series coefficients.  The upper bound
+for the Zimin patterns is the classical doubling recursion; its far looser
+tetration envelope m^^(2i - 1) is double_uparrow(m, 2 * i - 1).  Both mark
+overflow past a configurable digit cap.
 """
 
 from __future__ import annotations
@@ -132,21 +133,16 @@ def double_uparrow(x: int, y: int, cap: int = DEFAULT_DIGIT_CAP) -> BoundValue:
     return BoundValue.of(value)
 
 
-def zimin_upper(m: int, i: int, mode: str = "recursive",
-                cap: int = DEFAULT_DIGIT_CAP) -> BoundValue:
+def zimin_upper(m: int, i: int, cap: int = DEFAULT_DIGIT_CAP) -> BoundValue:
     """Upper bound on the forcing length for the i-th Zimin pattern over m letters.
 
-    recursive: iterate L -> m^L (L + 1) + L from the exact base L = 2m + 1.
-    tetration: the far looser envelope m^^(2i - 1).
+    Iterates L -> m^L (L + 1) + L from the exact base L = 2m + 1.  The far
+    looser tetration envelope m^^(2i - 1) is double_uparrow(m, 2 * i - 1).
     """
     if m < 2 or i < 2:
         raise ValueError("zimin upper bounds need m >= 2 and i >= 2")
     if cap < 1:
         raise ValueError("digit cap must be >= 1")
-    if mode == "tetration":
-        return double_uparrow(m, 2 * i - 1, cap)
-    if mode != "recursive":
-        raise ValueError(f"unknown mode {mode!r}")
     bound = 2 * m + 1
     # m^L >= L, so once L reaches the cap the next power does too
     for _ in range(i - 2):

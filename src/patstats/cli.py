@@ -49,8 +49,6 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _format_value(value):
-    if isinstance(value, bool) or value is None:
-        return value
     if isinstance(value, float) and not math.isfinite(value):
         return str(value)  # JSON has no Infinity
     if isinstance(value, (int, Fraction)):
@@ -139,9 +137,6 @@ def build_parser() -> _Parser:
     zu = _leaf(bo_sub, "zimin-upper", _zimin_upper)
     zu.add_argument("-m", "--alphabet", dest="m", type=int, required=True)
     zu.add_argument("-i", "--index", dest="i", type=int, required=True)
-    # the record's kind is the mode
-    zu.add_argument("--mode", dest="kind", choices=("recursive", "tetration"),
-                    default="recursive")
     zu.add_argument("--cap", type=int, default=bounds.DEFAULT_DIGIT_CAP)
     zl = _leaf(bo_sub, "zimin-lower", _zimin_lower)
     zl.add_argument("--kind", required=True, choices=("full", "abelian", "density"))
@@ -225,7 +220,7 @@ def _uparrow(args) -> tuple[object, str]:
 
 
 def _zimin_upper(args) -> tuple[object, str]:
-    value = bounds.zimin_upper(args.m, args.i, args.kind, args.cap)
+    value = bounds.zimin_upper(args.m, args.i, args.cap)
     return value, "upper bound on the Zimin forcing length"
 
 

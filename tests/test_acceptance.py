@@ -191,12 +191,12 @@ def test_criterion_8_bounds_consistency():
     problems = []
     if double_uparrow(3, 3).exact != 7625597484987:
         problems.append("3^^3")
-    if zimin_upper(2, 3, "recursive").exact != 197:
+    if zimin_upper(2, 3).exact != 197:
         problems.append("recursive(2,3) != 197")
     for m in (2, 3, 4):
         for i in (2, 3):
-            rec = zimin_upper(m, i, "recursive")
-            tet = zimin_upper(m, i, "tetration")
+            rec = zimin_upper(m, i)
+            tet = double_uparrow(m, 2 * i - 1)
             if not (rec.is_exact and (not tet.is_exact or rec.exact < tet.exact)):
                 problems.append(f"rec !< tet at m={m}, i={i}")
     for m in range(2, 65):

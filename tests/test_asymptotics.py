@@ -12,7 +12,7 @@ from patstats.asymptotics import (ABELIAN_TERM_CAP, MeanKind, _ln_mode_probabili
                                   abelian_rs_approx_mean, mean_asymptotic, zeta)
 from patstats.bounds import avoidance_threshold
 from patstats.errors import ToleranceError
-from patstats.genfunc import _mps_terms
+from patstats.genfunc import _mps_terms, ogf_bivariate
 from patstats.words import Pattern, signature
 from references import multinomial_power_sum_enum
 
@@ -303,6 +303,24 @@ def test_abelian_convergence_direction_m4():
         exact = Fraction(series.coeff(n), 4 ** n)
         ratios.append(float(exact) / (asym * n ** 2))
     assert ratios[0] < ratios[1] < ratios[2] < 1
+
+
+@pytest.mark.parametrize("text, d", [("aba", Fraction(1, 10)), ("abab", Fraction(1, 5))],
+                         ids=["aba-1/10", "abab-1/5"])
+def test_density_convergence(text, d):
+    # the exact mean over the partial words of length n with h = d*n holes,
+    # [z^n u^h] / (C(n, h) m^(n-h)), meets the leading term within 5% at
+    # n = 400, and the gap closes like 1/n: it halves when n doubles
+    m = 2
+    series = ogf_bivariate(P(text), m, 400)
+    gaps = []
+    for n in (200, 400):
+        h = int(n * d)
+        exact = Fraction(series.coeff_hole(n, h), math.comb(n, h) * m ** (n - h))
+        asym = mean_asymptotic(MeanKind.DENSITY, P(text), m, n, d=d).value
+        gaps.append(1 - float(exact) / asym)
+    assert abs(gaps[1]) < 0.05
+    assert 0.4 <= gaps[1] / gaps[0] <= 0.6
 
 
 # --- one leading-term coefficient for the means and the thresholds -------------

@@ -70,21 +70,22 @@ def test_uparrow_rejects_bad_args():
 # --- zimin upper bounds ---------------------------------------------------------
 
 def test_zimin_upper_base_case():
-    assert zimin_upper(2, 2, "recursive").exact == 5
-    assert zimin_upper(5, 2, "recursive").exact == 11
+    assert zimin_upper(2, 2).exact == 5
+    assert zimin_upper(5, 2).exact == 11
 
 
 def test_zimin_upper_one_step():
-    assert zimin_upper(2, 3, "recursive").exact == 2 ** 5 * 6 + 5 == 197
+    assert zimin_upper(2, 3).exact == 2 ** 5 * 6 + 5 == 197
 
 
 def test_zimin_upper_tetration_base():
-    assert zimin_upper(2, 2, "tetration").exact == 16
+    # the tetration envelope m^^(2i - 1) of the i-th Zimin pattern, at m = i = 2
+    assert double_uparrow(2, 3).exact == 16
 
 
 def test_zimin_upper_tetration_overflow_past_float_range():
     # 2^^7: the tower passes 2^65536 before it outgrows the cap
-    v = zimin_upper(2, 4, "tetration")
+    v = double_uparrow(2, 7)
     assert not v.is_exact and v.overflow_cap == 1_000_000
 
 
@@ -96,14 +97,14 @@ def test_zimin_upper_rejects_small_index():
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("i", [2, 3])
 def test_recursive_below_tetration(m, i):
-    rec = zimin_upper(m, i, "recursive")
-    tet = zimin_upper(m, i, "tetration")
+    rec = zimin_upper(m, i)
+    tet = double_uparrow(m, 2 * i - 1)
     # an exact value is below every value past its cap
     assert rec.is_exact and (not tet.is_exact or rec.exact < tet.exact)
 
 
 def test_zimin_upper_overflow_marker():
-    v = zimin_upper(2, 5, "recursive", cap=100)
+    v = zimin_upper(2, 5, cap=100)
     assert not v.is_exact and v.overflow_cap == 100
 
 
@@ -116,11 +117,14 @@ def test_zimin_upper_checks_its_base_against_the_cap():
     assert zimin_upper(2, 3, cap=2).overflow_cap == 2
 
 
-@pytest.mark.parametrize("mode", ["recursive", "tetration"])
+@pytest.mark.parametrize("bound", [
+    zimin_upper,
+    lambda m, i, cap: double_uparrow(m, 2 * i - 1, cap),
+], ids=["recursive", "tetration"])
 @pytest.mark.parametrize("cap", [0, -5])
-def test_zimin_upper_rejects_caps_below_one_digit(mode, cap):
+def test_zimin_upper_rejects_caps_below_one_digit(bound, cap):
     with pytest.raises(ValueError, match="digit cap must be >= 1"):
-        zimin_upper(2, 2, mode, cap)
+        bound(2, 2, cap)
 
 
 def test_boundvalue_prints_past_the_int_to_str_limit():

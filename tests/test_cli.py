@@ -41,8 +41,9 @@ def test_zimin_upper_base_past_the_cap_is_a_marker(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("bounds", "uparrow", "-x", "2", "-y", "6"),
-    ("bounds", "zimin-upper", "-m", "2", "-i", "4", "--mode", "tetration"),
-], ids=["uparrow-2-6", "zimin-upper-2-4-tetration"])
+    # the tetration envelope 2^^(2i - 1) of the Zimin pattern i = 4
+    ("bounds", "uparrow", "-x", "2", "-y", "7"),
+], ids=["uparrow-2-6", "uparrow-2-7"])
 def test_overflow_past_float_range_is_a_marker(capsys, argv):
     record = run_json(capsys, *argv)
     assert record["result"] == {"overflow_beyond_digits": 1_000_000}
@@ -268,9 +269,8 @@ RECORD_CASES = [
      "closed-form leading-term mean occurrence count"),
     ("bounds uparrow -x 2 -y 3 --cap 5", 0, "bounds uparrow", None,
      {"x": 2, "y": 3, "cap": 5}, "iterated exponentiation"),
-    # --mode is the record's kind
-    ("bounds zimin-upper -m 2 -i 3 --mode tetration --cap 10", 0, "bounds zimin-upper",
-     "tetration", {"m": 2, "i": 3, "cap": 10},
+    ("bounds zimin-upper -m 2 -i 3 --cap 10", 0, "bounds zimin-upper",
+     None, {"m": 2, "i": 3, "cap": 10},
      "upper bound on the Zimin forcing length"),
     ("bounds zimin-lower --kind density -m 3 -i 2 -d 1/3", 0, "bounds zimin-lower",
      "density", {"m": 3, "i": 2, "d": "1/3"},
@@ -329,11 +329,12 @@ def test_library_warning_prints_as_one_line(capsys):
     "coeff --kind full -p aa -m 2 -n 2 --order 3",  # the option is gone
     "bounds zimin-upper -m 2 -i 2 --cap -5",
     "bounds zimin-upper -m 2 -i 2 --cap 0",
-    "bounds zimin-upper -m 2 -i 2 --mode tetration --cap 0",
+    "bounds zimin-upper -m 2 -i 3 --mode tetration",  # the option is gone
+    "bounds uparrow -x 2 -y 2 --cap 0",
     "stats --kind abelian -p aa -m 12 -n 10 --eps nan",
 ], ids=["search-budget-0", "oracle-total-budget-0", "oracle-mean-budget-negative",
         "coeff-order", "zimin-upper-cap-negative", "zimin-upper-cap-0",
-        "zimin-upper-tetration-cap-0", "stats-eps-nan"])
+        "zimin-upper-mode", "uparrow-cap-0", "stats-eps-nan"])
 def test_exit_code_rejected_option_value(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == 1

@@ -912,7 +912,8 @@ SEARCH_PINS = {
     ("partial-morphism", "aba", 2, 5, 0): ("exhausted", None, 13),
 }
 RAMSEY_PINS = {("full", "aba", 2, 10): 5, ("full", "aba", 3, 12): 7,
-               ("abelian", "aa", 3, 12): 8, ("full", "abab", 2, 25): 19}
+               ("abelian", "aa", 3, 12): 8, ("full", "abab", 2, 25): 19,
+               ("full", "abacaba", 2, 30): 29}
 
 
 @pytest.mark.parametrize("question", sorted(SEARCH_PINS, key=str), ids=str)

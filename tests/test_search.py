@@ -160,18 +160,23 @@ def test_ramsey_rejects_partial_kinds():
 
 
 def test_sandwich_at_tiny_scale():
-    # first-moment lower bound <= exact forcing length = recursive upper bound
-    # <= tetration upper bound, for the smallest zimin pattern
+    # first-moment lower bound <= exact forcing length <= recursive upper
+    # bound <= tetration envelope m^^(2i - 1); the recursive bound is the
+    # forcing length itself for the smallest zimin pattern, not for abacaba
     from patstats.asymptotics import MeanKind
-    from patstats.bounds import zimin_lower, zimin_upper
+    from patstats.bounds import double_uparrow, zimin_lower, zimin_upper
     from patstats.words import zimin
     for m in (2, 3, 4):
         exact = exact_ramsey_length(FULL, zimin(2), m, 2 * m + 3)
         assert exact == 2 * m + 1
         assert zimin_lower(MeanKind.FULL, m, 2) <= exact
-        rec = zimin_upper(m, 2, "recursive").exact
-        tet = zimin_upper(m, 2, "tetration").exact
+        rec = zimin_upper(m, 2).exact
+        tet = double_uparrow(m, 3).exact
         assert exact == rec <= tet
+    exact = exact_ramsey_length(FULL, zimin(3), 2, 30)
+    assert zimin_lower(MeanKind.FULL, 2, 3) <= exact == 29
+    rec = zimin_upper(2, 3).exact
+    assert exact < rec == 197 <= double_uparrow(2, 5).exact
 
 
 def test_partial_witness_with_unconstrained_holes():
