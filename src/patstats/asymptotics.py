@@ -234,8 +234,8 @@ def zeta(s: float) -> float:
     Euler-Maclaurin endpoint terms are added so that ZETA_TOL is met with a
     modest cutoff even for s close to 1.5.
     """
-    if s <= 1:
-        raise ValueError("zeta summation requires s > 1")
+    if not 1 < s < math.inf:  # NaN fails every comparison
+        raise ValueError("zeta summation requires a finite s > 1")
     cutoff = 64
     while True:
         # magnitude of the first omitted correction term
@@ -257,6 +257,8 @@ def abelian_rs_approx_mean(p: Pattern, m: int, n: int) -> float:
     the small-l terms, so this is a separate, clearly-labelled operation and
     not a substitute for mean_asymptotic(ABELIAN, ...).
     """
+    if n < 1:
+        raise ValueError("word length must be >= 1")
     if m < 4:
         raise ValueError("the approximation needs an alphabet of at least 4 letters")
     sig = signature(p)

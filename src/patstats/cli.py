@@ -147,8 +147,7 @@ def build_parser() -> _Parser:
     th = _leaf(bo_sub, "threshold", _threshold, means)
     th.add_argument("-d", "--density", dest="d", type=_parse_fraction)
     th.add_argument("--eps", type=float, default=asymptotics.DEFAULT_ABELIAN_EPS)
-    et = _leaf(bo_sub, "exact-threshold", _exact_threshold,
-               ("full", "abelian", "partial-collapsed"))
+    et = _leaf(bo_sub, "exact-threshold", _exact_threshold, counts)
     et.add_argument("--n-max", type=int, required=True)
 
     se = sub.add_parser("search", help="avoiding-word search and exact forcing lengths")

@@ -2,21 +2,29 @@
 
 For each counting convention the n-th coefficient of the built series equals
 the brute-force total over all words of length n (FULL and ABELIAN over m^n
-full words, PARTIAL_COLLAPSED over (m+1)^n partial words).  The bivariate
-variant additionally marks holes with u, so [z^n u^h] is the total over the
-partial words with exactly h holes.
+full words, PARTIAL_MORPHISM and PARTIAL_COLLAPSED over (m+1)^n partial
+words).  The bivariate variant of the collapsed series additionally marks
+holes with u, so [z^n u^h] is the total over the partial words with exactly
+h holes.
 
 Each series is assembled from first principles as
 
     (outer sequence)^(-2) * product over variables of (block-column series),
 
 where the per-variable factor counts the ways one variable's repeated blocks
-can fill k_j z-weight per image coordinate:
+can fill k_j z-weight per image coordinate.  One rule covers every column:
+with the hole marker u, a coordinate's k_j blocks are either all holes
+(weight h u^{k_j}) or share one of m letters, each block holding it or a hole
+(weight m[(1+u)^{k_j} - u^{k_j}]), so
 
-    FULL               SEQ of m-letter columns:      1/(1 - m z^{k_j}) - 1
-    PARTIAL_COLLAPSED  letter-or-hole columns:       1/(1 - (m 2^{k_j} - m + 1) z^{k_j}) - 1
-    bivariate          hole-marked columns:          1/(1 - (u^{k_j} + m[(1+u)^{k_j} - u^{k_j}]) z^{k_j}) - 1
-    ABELIAN            anagram columns:              sum_l M(l, m, k_j) z^{k_j l}
+    letter-or-hole columns:   1/(1 - (h u^{k_j} + m[(1+u)^{k_j} - u^{k_j}]) z^{k_j}) - 1
+    ABELIAN anagram columns:  sum_l M(l, m, k_j) z^{k_j l}
+
+where h = m under PARTIAL_MORPHISM (an all-hole coordinate takes any of the m
+letters) and 1 otherwise, and u = 0 on full words (FULL, and the variables of
+an ABELIAN pattern that occur once), 1 on partial words and 2^s in the
+bivariate pass below.  At u = 0 the column weight is m; at u = 1 it is
+m 2^{k_j} - m + 1 collapsed and m 2^{k_j} under the morphism convention.
 
 with M the multinomial power sum: M(l, m, k) / (l!)^k is the l-th coefficient of
 (sum_i x^i / (i!)^k)^m, and the power rule for series (f g' = m f' g for
@@ -39,13 +47,13 @@ from A(0) = (1, 0, ..., 0).  Taken from j = m down (A_m(n) = m n A_(m-1)(n - 1))
 each A_j(n) costs a few products of a big int by a small int, and the
 division by n is exact because every other term of the equation is an
 integer; a term costs O(m) such steps instead of the O(l) big-int products
-of the power recurrence.  For FULL and PARTIAL_COLLAPSED each factor
-is a_j z^{k_j} / (1 - a_j z^{k_j}) and the outer factor is 1/(1 - b z)^2, so the
+of the power recurrence.  Every letter-or-hole factor is
+a_j z^{k_j} / (1 - a_j z^{k_j}) and the outer factor is 1/(1 - b z)^2, so the
 series is the rational function N/D with
 
     N = (a_1 ... a_r) z^(k_1 + ... + k_r),    D = (1 - b z)^2 (1 - a_1 z^{k_1}) ... (1 - a_r z^{k_r}),
 
-b = m for FULL and u + m with holes marked (m + 1 at u = 1).  D(0) = 1, so the
+b = m + u (m on full words, m + 1 on partial ones).  D(0) = 1, so the
 coefficients follow the integer recurrence c_n = N_n - sum_{i>=1} D_i c_{n-i}.
 ABELIAN is not rational, but M(l, m, 1) = m^l puts a variable that occurs once
 in N and D as for FULL.  The sparse factors of the repeated variables are
@@ -65,7 +73,7 @@ from itertools import chain, count, islice, repeat, tee
 from math import gcd, prod
 from operator import mul
 
-from .oracle import CountKind
+from .oracle import PARTIAL_KINDS, CountKind
 from .series import BivariateSeries, Series
 from .words import Pattern, signature
 
@@ -181,20 +189,19 @@ def _times_columns(left: Iterator[int], weights: Iterator[int], k: int,
 
 
 def _rational_form(kind: CountKind, mults: tuple[int, ...], m: int,
-                   u: int = 1) -> tuple[Iterable[int], list[int]]:
+                   u: int) -> tuple[Iterable[int], list[int]]:
     """N and D with [z^n] N/D the occurrence total at every length n.
 
-    u is the value of the hole marker; only PARTIAL_COLLAPSED reads it.  With a
-    repeated ABELIAN variable N is an endless stream, each term computed when read.
+    u is the value of the hole marker: 0 on full words, 1 on partial words and
+    2^s in ogf_bivariate's Kronecker pass.  With a repeated ABELIAN variable N
+    is an endless stream, each term computed when read.
     """
     # an abelian variable that occurs once has the FULL factor (M(l, m, 1) = m^l)
     streamed = mults[mults.count(1):] if kind is CountKind.ABELIAN else ()
     rational = mults[:len(mults) - len(streamed)]
-    if kind is CountKind.PARTIAL_COLLAPSED:
-        b = u + m
-        columns = [u ** kj + m * ((1 + u) ** kj - u ** kj) for kj in rational]
-    else:
-        b, columns = m, [m] * len(rational)
+    # an all-hole coordinate takes any of the m letters under the morphism convention
+    h = m if kind is CountKind.PARTIAL_MORPHISM else 1
+    b, columns = m + u, [h * u ** kj + m * ((1 + u) ** kj - u ** kj) for kj in rational]
     den = _times_binomial(_times_binomial([1], b, 1), b, 1)
     for kj, a in zip(rational, columns):
         den = _times_binomial(den, a, kj)
@@ -221,12 +228,9 @@ def _occurrence_terms(kind: CountKind, p: Pattern, m: int, order: int) -> Iterat
         raise ValueError("order must be >= 0")
     if m < 1:
         raise ValueError("alphabet size must be >= 1")
-    if kind is CountKind.PARTIAL_MORPHISM:
-        raise ValueError("no closed-form series for the morphism-counting convention;"
-                         " use PARTIAL_COLLAPSED")
-    if kind not in (CountKind.FULL, CountKind.PARTIAL_COLLAPSED, CountKind.ABELIAN):
+    if not isinstance(kind, CountKind):
         raise ValueError(f"unsupported kind {kind}")
-    num, den = _rational_form(kind, signature(p).mults, m)
+    num, den = _rational_form(kind, signature(p).mults, m, int(kind in PARTIAL_KINDS))
     return islice(_ratio_terms(num, den), order + 1)
 
 

@@ -63,7 +63,7 @@ def test_criterion_1_oracle_golden_values():
 
 def test_criterion_2_series_equal_brute_force_grid():
     mismatches = []
-    for kind in (FULL, COLLAPSED, ABELIAN):
+    for kind in CountKind:
         for text in GRID_PATTERNS:
             p = Pattern.from_text(text)
             for m in (1, 2, 3):

@@ -61,6 +61,9 @@ def test_preconditions():
         mean_asymptotic(MeanKind.PARTIAL, P("aa"), 1, 10)
     with pytest.raises(ValueError):
         mean_asymptotic(MeanKind.FULL, ABA, 2, 10, d=Fraction(1, 2))
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="word length must be >= 1"):
+            abelian_rs_approx_mean(ABA, 12, n)
 
 
 def test_mean_past_float_range_is_inf():
@@ -259,6 +262,13 @@ def test_rs_approx_grossly_exceeds_exact_constant_mean():
 def test_zeta_against_scipy():
     for s in (1.5, 2.0, 2.5, 5.5, 11.0):
         assert zeta(s) == pytest.approx(float(scipy_zeta(s)), abs=1e-11)
+
+
+@pytest.mark.parametrize("s", [1.0, 0.5, math.nan, math.inf, -math.inf])
+def test_zeta_rejects_s_outside_the_finite_reals_above_one(s):
+    # a NaN or infinite s would otherwise sum 2^25 terms and return nan
+    with pytest.raises(ValueError, match="finite s > 1"):
+        zeta(s)
 
 
 # --- structural properties ------------------------------------------------------

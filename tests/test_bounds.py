@@ -324,5 +324,8 @@ def test_exact_threshold_budget():
 def test_exact_threshold_other_kinds_run():
     assert exact_avoidance_threshold(CountKind.ABELIAN, P("aa"), 2, 8) >= 1
     assert exact_avoidance_threshold(CountKind.PARTIAL_COLLAPSED, P("aa"), 2, 8) >= 1
-    with pytest.raises(ValueError):
-        exact_avoidance_threshold(CountKind.PARTIAL_MORPHISM, P("aa"), 2, 8)
+    # morphism totals are never below the collapsed ones over the same words
+    for text, m, n_max in (("aa", 2, 8), ("abacaba", 3, 60)):
+        morphism = exact_avoidance_threshold(CountKind.PARTIAL_MORPHISM, P(text), m, n_max)
+        assert 1 <= morphism <= exact_avoidance_threshold(CountKind.PARTIAL_COLLAPSED,
+                                                          P(text), m, n_max)

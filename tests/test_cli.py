@@ -296,6 +296,11 @@ RECORD_CASES = [
     pytest.param("oracle mean --kind partial-collapsed -p aa -m 2 -n 2", 0, "oracle mean",
                  "partial-collapsed", {"pattern": "aa", "m": 2, "n": 2},
                  "exact mean occurrence count (total / population)", id="oracle-mean-not-strict"),
+    pytest.param("bounds exact-threshold --kind partial-morphism -p aa -m 2 --n-max 5", 0,
+                 "bounds exact-threshold", "partial-morphism",
+                 {"pattern": "aa", "m": 2, "n_max": 5},
+                 "largest length with exact mean occurrence count below 1",
+                 id="bounds-exact-threshold-morphism"),
 ]
 
 
@@ -332,9 +337,12 @@ def test_library_warning_prints_as_one_line(capsys):
     "bounds zimin-upper -m 2 -i 3 --mode tetration",  # the option is gone
     "bounds uparrow -x 2 -y 2 --cap 0",
     "stats --kind abelian -p aa -m 12 -n 10 --eps nan",
+    "stats --kind abelian-rs -p aba -m 12 -n -5",
+    "stats --kind abelian-rs -p aba -m 12 -n 0",
 ], ids=["search-budget-0", "oracle-total-budget-0", "oracle-mean-budget-negative",
         "coeff-order", "zimin-upper-cap-negative", "zimin-upper-cap-0",
-        "zimin-upper-mode", "uparrow-cap-0", "stats-eps-nan"])
+        "zimin-upper-mode", "uparrow-cap-0", "stats-eps-nan",
+        "abelian-rs-n-negative", "abelian-rs-n-0"])
 def test_exit_code_rejected_option_value(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == 1

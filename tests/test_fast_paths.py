@@ -252,7 +252,8 @@ def test_equal_multiplicities_share_one_abelian_factor(monkeypatch, text):
 
 # --- the series recurrence ------------------------------------------------------
 
-SERIES_KINDS = [CountKind.FULL, CountKind.PARTIAL_COLLAPSED, CountKind.ABELIAN]
+SERIES_KINDS = [CountKind.FULL, CountKind.PARTIAL_COLLAPSED, CountKind.ABELIAN,
+                CountKind.PARTIAL_MORPHISM]
 # in "aabbb" (multiplicities 2 and 3) the abelian product fills the odd lengths
 # that its first factor leaves empty
 SERIES_CORPUS = ["a", "aa", "ab", "aba", "aab", "abab", "abba",
@@ -273,7 +274,7 @@ def _series_product(factors, order, zero, add, times):
 def _product_form(kind, p, m, order):
     """The occurrence totals as the product of the outer sequence, twice, and one
     factor per variable, each geometric series written out term by term."""
-    b = m + 1 if kind is CountKind.PARTIAL_COLLAPSED else m
+    b = m + 1 if kind in PARTIAL_KINDS else m
     outer = [b ** n for n in range(order + 1)]
     factors = [outer, outer]
     for k in signature(p).mults:
@@ -281,7 +282,9 @@ def _product_form(kind, p, m, order):
         if kind is CountKind.ABELIAN:
             terms = tuple(islice(_mps_terms(m, k), top + 1))
         else:
-            column = m if kind is CountKind.FULL else m * 2 ** k - m + 1
+            # an all-hole coordinate: one column when collapsed, m under the morphism
+            column = {CountKind.FULL: m, CountKind.PARTIAL_COLLAPSED: m * 2 ** k - m + 1,
+                      CountKind.PARTIAL_MORPHISM: m * 2 ** k}[kind]
             terms = [column ** ell for ell in range(top + 1)]
         factor = [0] * (order + 1)
         for ell in range(1, top + 1):
@@ -374,7 +377,7 @@ def test_exact_threshold_matches_product_form(kind, text, m):
     n_max = 60
     p = Pattern.from_text(text)
     totals = _product_form(kind, p, m, n_max)
-    base = m + 1 if kind is CountKind.PARTIAL_COLLAPSED else m
+    base = m + 1 if kind in PARTIAL_KINDS else m
     expected = next((n - 1 for n in range(1, n_max + 1) if totals[n] >= base ** n), n_max)
     assert exact_avoidance_threshold(kind, p, m, n_max) == expected
 
@@ -903,6 +906,10 @@ SEARCH_PINS = {
     ("full", "abab", 3, 40, None): ("found", "aaabaaacaaabaacaaacbaaabaacaaabaaacaaabb", 60),
     ("full", "aa", 3, 40, None): ("found", "abacabcacbabcabacabcacbacabacbabcabacabc", 82),
     ("abelian", "aa", 4, 30, None): ("found", "abacabadabacbabdbabcbdcacbabda", 82),
+    # the longest ternary word avoiding Z3 that the search certifies: f(Z3, 3) >= 110
+    ("full", "abacaba", 3, 109, None):
+        ("found", "aaaaaabaabaabbaacaabbbaacbaacbaaccaabbcaabbcaabcaacbbaaccbabbcbacbbcabbcc"
+                  "abbccabccaccbbaccbbaccbccbccccccaabb", 1826),
     ("partial-collapsed", "aa", 3, 14, 1): ("exhausted", None, 707),
     ("full", "aba", 2, 5, None): ("exhausted", None, 13),
     ("full", "aa", 2, 4, None): ("exhausted", None, 7),

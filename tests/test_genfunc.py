@@ -10,6 +10,7 @@ from references import multinomial_power_sum_enum
 FULL = CountKind.FULL
 ABELIAN = CountKind.ABELIAN
 COLLAPSED = CountKind.PARTIAL_COLLAPSED
+MORPHISM = CountKind.PARTIAL_MORPHISM
 
 
 def P(text):
@@ -66,16 +67,11 @@ def test_abelian_ogf_example():
     assert coeff(s, 2) == 2
 
 
-def test_ogf_rejects_morphism_kind():
-    with pytest.raises(ValueError):
-        ogf_build(CountKind.PARTIAL_MORPHISM, P("aa"), 2, 4)
-
-
 CORPUS = ["a", "aa", "ab", "aba", "aab", "abab", "abba",
           "abac", "abaca", "abacab", "abacaba"]
 
 
-@pytest.mark.parametrize("kind", [FULL, COLLAPSED, ABELIAN])
+@pytest.mark.parametrize("kind", [FULL, COLLAPSED, ABELIAN, MORPHISM])
 @pytest.mark.parametrize("text", CORPUS)
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_ogf_coefficients_equal_brute_totals(kind, text, m):
@@ -87,7 +83,7 @@ def test_ogf_coefficients_equal_brute_totals(kind, text, m):
 
 
 def test_ogf_coefficients_are_nonnegative_integers():
-    for kind in (FULL, COLLAPSED, ABELIAN):
+    for kind in (FULL, COLLAPSED, ABELIAN, MORPHISM):
         for text in CORPUS:
             series = ogf_build(kind, P(text), 3, 6)
             for c in series.coeffs:
